@@ -3,40 +3,9 @@
 #include <stdexcept>
 
 #include "ml/linreg.hpp"
-#include "ml/metrics.hpp"
 #include "ml/pca.hpp"
 
 namespace cmdare::core {
-namespace {
-
-RegressionEval evaluate_prototype(const std::string& name,
-                                  const std::string& features,
-                                  const ml::Regressor& prototype,
-                                  const ml::Dataset& dataset, util::Rng& rng,
-                                  std::size_t folds) {
-  util::Rng split_rng = rng.fork("split-" + name);
-  const ml::TrainTestSplit split =
-      ml::train_test_split(dataset, 0.8, split_rng);
-  util::Rng cv_rng = rng.fork("cv-" + name);
-  const ml::CrossValResult cv =
-      ml::cross_validate(prototype, split.train, folds, cv_rng);
-
-  auto fitted = prototype.clone_unfitted();
-  fitted->fit(split.train);
-  const auto predicted = fitted->predict_all(split.test);
-
-  RegressionEval eval;
-  eval.name = name;
-  eval.features = features;
-  eval.kfold_mae = cv.mean_mae;
-  eval.kfold_mae_sd = cv.sd_mae;
-  eval.test_mae = ml::mean_absolute_error(split.test.targets(), predicted);
-  eval.test_mape =
-      ml::mean_absolute_percentage_error(split.test.targets(), predicted);
-  return eval;
-}
-
-}  // namespace
 
 std::vector<RegressionEval> evaluate_checkpoint_models(
     const std::vector<CheckpointMeasurement>& measurements, util::Rng& rng,
@@ -46,48 +15,21 @@ std::vector<RegressionEval> evaluate_checkpoint_models(
         "evaluate_checkpoint_models: not enough measurements");
   }
   std::vector<RegressionEval> results;
-  results.push_back(evaluate_prototype(
+  results.push_back(evaluate_regressor(
       "Univariate", "S_c", ml::LinearRegression(),
       checkpoint_dataset_total(measurements), rng, folds));
-  results.push_back(evaluate_prototype(
+  results.push_back(evaluate_regressor(
       "Multivariate", "S_d, S_m", ml::LinearRegression(),
       checkpoint_dataset_data_meta(measurements), rng, folds));
-  results.push_back(evaluate_prototype(
+  results.push_back(evaluate_regressor(
       "Multivariate, Two Components PCA", "S_d, S_m, S_i",
       ml::PcaRegression(2), checkpoint_dataset_all(measurements), rng,
       folds));
-
   // SVR RBF on S_c, grid-searched like the step-time study.
-  {
-    const std::string name = "SVR RBF kernel";
-    const ml::Dataset dataset = checkpoint_dataset_total(measurements);
-    util::Rng split_rng = rng.fork("split-" + name);
-    const ml::TrainTestSplit split =
-        ml::train_test_split(dataset, 0.8, split_rng);
-    util::Rng cv_rng = rng.fork("cv-" + name);
-    const ml::KernelConfig rbf{ml::KernelType::kRbf, 2, 1.0, 1.0};
-    const ml::SvrGridSearchResult search =
-        ml::svr_grid_search(rbf, split.train, folds, cv_rng);
-    const ml::SvrGridPoint& best = search.best();
-    ml::SvrConfig config;
-    config.kernel = rbf;
-    config.penalty = best.penalty;
-    config.epsilon = best.epsilon;
-    config.gamma_scale = best.gamma_scale;
-    ml::SupportVectorRegression fitted(config);
-    fitted.fit(split.train);
-    const auto predicted = fitted.predict_all(split.test);
-
-    RegressionEval eval;
-    eval.name = name;
-    eval.features = "S_c";
-    eval.kfold_mae = best.cv.mean_mae;
-    eval.kfold_mae_sd = best.cv.sd_mae;
-    eval.test_mae = ml::mean_absolute_error(split.test.targets(), predicted);
-    eval.test_mape =
-        ml::mean_absolute_percentage_error(split.test.targets(), predicted);
-    results.push_back(eval);
-  }
+  const ml::KernelConfig rbf{ml::KernelType::kRbf, 2, 1.0, 1.0};
+  results.push_back(evaluate_tuned_svr("SVR RBF kernel", "S_c", rbf,
+                                       checkpoint_dataset_total(measurements),
+                                       rng, folds));
   return results;
 }
 

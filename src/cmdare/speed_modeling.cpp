@@ -8,67 +8,58 @@
 namespace cmdare::core {
 namespace {
 
-RegressionEval evaluate_linear(const std::string& name,
-                               const std::string& features,
-                               const ml::Dataset& dataset, util::Rng& rng,
-                               std::size_t folds) {
+ml::TrainTestSplit split_for(const std::string& name,
+                             const ml::Dataset& dataset,
+                             const util::Rng& rng) {
   util::Rng split_rng = rng.fork("split-" + name);
-  const ml::TrainTestSplit split =
-      ml::train_test_split(dataset, 0.8, split_rng);
-  ml::LinearRegression prototype;
-  util::Rng cv_rng = rng.fork("cv-" + name);
-  const ml::CrossValResult cv =
-      ml::cross_validate(prototype, split.train, folds, cv_rng);
+  return ml::train_test_split(dataset, 0.8, split_rng);
+}
 
-  ml::LinearRegression fitted;
-  fitted.fit(split.train);
-  const auto predicted = fitted.predict_all(split.test);
-
+RegressionEval held_out_eval(const std::string& name,
+                             const std::string& features,
+                             const ml::CrossValResult& cv,
+                             const ml::Regressor& fitted,
+                             const ml::Dataset& test) {
+  const auto predicted = fitted.predict_all(test);
   RegressionEval eval;
   eval.name = name;
   eval.features = features;
   eval.kfold_mae = cv.mean_mae;
   eval.kfold_mae_sd = cv.sd_mae;
-  eval.test_mae = ml::mean_absolute_error(split.test.targets(), predicted);
+  eval.test_mae = ml::mean_absolute_error(test.targets(), predicted);
   eval.test_mape =
-      ml::mean_absolute_percentage_error(split.test.targets(), predicted);
-  return eval;
-}
-
-RegressionEval evaluate_svr(const std::string& name,
-                            const std::string& features,
-                            const ml::KernelConfig& kernel,
-                            const ml::Dataset& dataset, util::Rng& rng,
-                            std::size_t folds) {
-  util::Rng split_rng = rng.fork("split-" + name);
-  const ml::TrainTestSplit split =
-      ml::train_test_split(dataset, 0.8, split_rng);
-  util::Rng cv_rng = rng.fork("cv-" + name);
-  const ml::SvrGridSearchResult search =
-      ml::svr_grid_search(kernel, split.train, folds, cv_rng);
-  const ml::SvrGridPoint& best = search.best();
-
-  ml::SvrConfig config;
-  config.kernel = kernel;
-  config.penalty = best.penalty;
-  config.epsilon = best.epsilon;
-  config.gamma_scale = best.gamma_scale;
-  ml::SupportVectorRegression fitted(config);
-  fitted.fit(split.train);
-  const auto predicted = fitted.predict_all(split.test);
-
-  RegressionEval eval;
-  eval.name = name;
-  eval.features = features;
-  eval.kfold_mae = best.cv.mean_mae;
-  eval.kfold_mae_sd = best.cv.sd_mae;
-  eval.test_mae = ml::mean_absolute_error(split.test.targets(), predicted);
-  eval.test_mape =
-      ml::mean_absolute_percentage_error(split.test.targets(), predicted);
+      ml::mean_absolute_percentage_error(test.targets(), predicted);
   return eval;
 }
 
 }  // namespace
+
+RegressionEval evaluate_regressor(const std::string& name,
+                                  const std::string& features,
+                                  const ml::Regressor& prototype,
+                                  const ml::Dataset& dataset, util::Rng& rng,
+                                  std::size_t folds) {
+  const ml::TrainTestSplit split = split_for(name, dataset, rng);
+  util::Rng cv_rng = rng.fork("cv-" + name);
+  const ml::CrossValResult cv =
+      ml::cross_validate(prototype, split.train, folds, cv_rng);
+  const auto fitted = prototype.clone_unfitted();
+  fitted->fit(split.train);
+  return held_out_eval(name, features, cv, *fitted, split.test);
+}
+
+RegressionEval evaluate_tuned_svr(const std::string& name,
+                                  const std::string& features,
+                                  const ml::KernelConfig& kernel,
+                                  const ml::Dataset& dataset, util::Rng& rng,
+                                  std::size_t folds) {
+  const ml::TrainTestSplit split = split_for(name, dataset, rng);
+  util::Rng cv_rng = rng.fork("cv-" + name);
+  const ml::TunedSvr tuned =
+      ml::fit_tuned_svr(kernel, split.train, folds, cv_rng);
+  return held_out_eval(name, features, tuned.chosen.cv, *tuned.model,
+                       split.test);
+}
 
 std::vector<RegressionEval> evaluate_step_time_models(
     const std::vector<StepTimeMeasurement>& measurements, util::Rng& rng,
@@ -79,13 +70,13 @@ std::vector<RegressionEval> evaluate_step_time_models(
   std::vector<RegressionEval> results;
 
   // GPU-agnostic models over all measurements.
-  results.push_back(evaluate_linear("Univariate, GPU-agnostic", "C_norm",
-                                    step_dataset_cnorm(measurements), rng,
-                                    folds));
-  results.push_back(evaluate_linear("Multivariate, GPU-agnostic",
-                                    "C_m, C_gpu",
-                                    step_dataset_cm_cgpu(measurements), rng,
-                                    folds));
+  const ml::LinearRegression ols;
+  results.push_back(evaluate_regressor("Univariate, GPU-agnostic", "C_norm",
+                                       ols, step_dataset_cnorm(measurements),
+                                       rng, folds));
+  results.push_back(evaluate_regressor(
+      "Multivariate, GPU-agnostic", "C_m, C_gpu", ols,
+      step_dataset_cm_cgpu(measurements), rng, folds));
 
   // GPU-specific models (the paper reports K80 and P100 rows).
   const ml::KernelConfig poly{ml::KernelType::kPolynomial, 2, 1.0, 1.0};
@@ -95,12 +86,12 @@ std::vector<RegressionEval> evaluate_step_time_models(
     if (subset.empty()) continue;
     const ml::Dataset dataset = step_dataset_cm(subset);
     const std::string gpu_label = cloud::gpu_name(gpu);
-    results.push_back(evaluate_linear("Univariate, " + gpu_label, "C_m",
-                                      dataset, rng, folds));
-    results.push_back(evaluate_svr("SVR Polynomial Kernel, " + gpu_label,
-                                   "C_m", poly, dataset, rng, folds));
-    results.push_back(evaluate_svr("SVR RBF Kernel, " + gpu_label, "C_m", rbf,
-                                   dataset, rng, folds));
+    results.push_back(evaluate_regressor("Univariate, " + gpu_label, "C_m",
+                                         ols, dataset, rng, folds));
+    results.push_back(evaluate_tuned_svr("SVR Polynomial Kernel, " + gpu_label,
+                                         "C_m", poly, dataset, rng, folds));
+    results.push_back(evaluate_tuned_svr("SVR RBF Kernel, " + gpu_label,
+                                         "C_m", rbf, dataset, rng, folds));
   }
   return results;
 }

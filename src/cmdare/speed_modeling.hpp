@@ -35,6 +35,25 @@ struct RegressionEval {
   double test_mape = 0.0;  // percent
 };
 
+/// One row of Tables II and IV: a 4:1 split of `dataset` (RNG stream
+/// "split-" + name), k-fold CV MAE of `prototype` on the training part
+/// (stream "cv-" + name), and the MAE/MAPE on the held-out part of a fit on
+/// the training part.
+RegressionEval evaluate_regressor(const std::string& name,
+                                  const std::string& features,
+                                  const ml::Regressor& prototype,
+                                  const ml::Dataset& dataset, util::Rng& rng,
+                                  std::size_t folds);
+
+/// As evaluate_regressor for an SVR whose hyperparameters are grid-searched
+/// on the training part (ml::fit_tuned_svr); the CV figures are those of
+/// the chosen grid point.
+RegressionEval evaluate_tuned_svr(const std::string& name,
+                                  const std::string& features,
+                                  const ml::KernelConfig& kernel,
+                                  const ml::Dataset& dataset, util::Rng& rng,
+                                  std::size_t folds);
+
 /// Reruns the Table II comparison on the given measurements (expects all
 /// three GPUs present; the per-GPU rows use K80 and P100, as the paper
 /// does). `folds` is the k of k-fold CV.

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "ml/metrics.hpp"
 #include "stats/descriptive.hpp"
@@ -10,23 +11,23 @@
 namespace cmdare::ml {
 namespace {
 
-CrossValResult cross_validate_with_folds(
-    const Regressor& prototype, const Dataset& data,
-    const std::vector<std::vector<std::size_t>>& folds) {
-  CrossValResult result;
-  result.fold_mae.reserve(folds.size());
-  for (std::size_t f = 0; f < folds.size(); ++f) {
-    const TrainTestSplit split = kfold_split(data, folds, f);
-    auto model = prototype.clone_unfitted();
-    model->fit(split.train);
-    const auto predicted = model->predict_all(split.test);
-    result.fold_mae.push_back(
-        mean_absolute_error(split.test.targets(), predicted));
+// Fills the mean and sd from the per-fold MAEs.
+void summarize(CrossValResult& cv) {
+  cv.mean_mae = stats::mean(cv.fold_mae);
+  cv.sd_mae = cv.fold_mae.size() >= 2 ? stats::stddev(cv.fold_mae) : 0.0;
+}
+
+// Points lo, lo + step, ... up to hi. Counted with an integer so that
+// floating-point drift never skips the last point.
+std::vector<double> grid_axis(double lo, double hi, double step) {
+  const int count = static_cast<int>(std::floor((hi - lo) / step + 1.5));
+  std::vector<double> axis;
+  for (int i = 0; i < count; ++i) {
+    const double value = lo + step * i;
+    if (value > hi + 1e-9) break;
+    axis.push_back(value);
   }
-  result.mean_mae = stats::mean(result.fold_mae);
-  result.sd_mae =
-      result.fold_mae.size() >= 2 ? stats::stddev(result.fold_mae) : 0.0;
-  return result;
+  return axis;
 }
 
 }  // namespace
@@ -40,14 +41,15 @@ CrossValResult cross_validate(const Regressor& prototype, const Dataset& data,
   CrossValResult pooled;
   for (std::size_t r = 0; r < repeats; ++r) {
     const auto folds = kfold_indices(data.size(), k, rng);
-    const CrossValResult one =
-        cross_validate_with_folds(prototype, data, folds);
-    pooled.fold_mae.insert(pooled.fold_mae.end(), one.fold_mae.begin(),
-                           one.fold_mae.end());
+    for (std::size_t f = 0; f < folds.size(); ++f) {
+      const TrainTestSplit split = kfold_split(data, folds, f);
+      auto model = prototype.clone_unfitted();
+      model->fit(split.train);
+      pooled.fold_mae.push_back(mean_absolute_error(
+          split.test.targets(), model->predict_all(split.test)));
+    }
   }
-  pooled.mean_mae = stats::mean(pooled.fold_mae);
-  pooled.sd_mae =
-      pooled.fold_mae.size() >= 2 ? stats::stddev(pooled.fold_mae) : 0.0;
+  summarize(pooled);
   return pooled;
 }
 
@@ -66,60 +68,62 @@ SvrGridSearchResult svr_grid_search(const KernelConfig& kernel,
     fold_sets.push_back(kfold_indices(data.size(), k, rng));
   }
 
-  SvrGridSearchResult result;
-  double best = std::numeric_limits<double>::infinity();
-  // Iterate with an integer counter to avoid floating-point drift ever
-  // skipping the last grid point.
-  const int np = static_cast<int>(
-      std::floor((grid.penalty_hi - grid.penalty_lo) / grid.penalty_step +
-                 1.5));
-  const int ne = static_cast<int>(
-      std::floor((grid.epsilon_hi - grid.epsilon_lo) / grid.epsilon_step +
-                 1.5));
+  const std::vector<double> penalties =
+      grid_axis(grid.penalty_lo, grid.penalty_hi, grid.penalty_step);
+  const std::vector<double> epsilons =
+      grid_axis(grid.epsilon_lo, grid.epsilon_hi, grid.epsilon_step);
   std::vector<double> gamma_scales =
       kernel.type == KernelType::kRbf ? grid.gamma_scales
                                       : std::vector<double>{1.0};
   if (gamma_scales.empty()) {
     throw std::invalid_argument("svr_grid_search: empty gamma_scales");
   }
+  if (penalties.empty() || epsilons.empty()) {
+    throw std::invalid_argument("svr_grid_search: empty grid");
+  }
+
+  // Each fold is split once per gamma scale, and one penalty path per
+  // epsilon fits every penalty on it. Points are stored in (penalty,
+  // epsilon) order and folds in (fold set, fold) order, so the grid and the
+  // tie-breaking of the best point read as if every point were fitted on
+  // its own.
+  SvrGridSearchResult result;
+  double best = std::numeric_limits<double>::infinity();
+  const std::size_t ne = epsilons.size();
   for (double gamma_scale : gamma_scales) {
-    for (int ip = 0; ip < np; ++ip) {
-      const double penalty = grid.penalty_lo + grid.penalty_step * ip;
-      if (penalty > grid.penalty_hi + 1e-9) break;
-      for (int ie = 0; ie < ne; ++ie) {
-        const double eps = grid.epsilon_lo + grid.epsilon_step * ie;
-        if (eps > grid.epsilon_hi + 1e-9) break;
-        SvrConfig config;
-        config.kernel = kernel;
-        config.penalty = penalty;
-        config.epsilon = eps;
-        config.gamma_scale = gamma_scale;
-        SupportVectorRegression prototype(config);
-        SvrGridPoint point;
-        point.penalty = penalty;
-        point.epsilon = eps;
-        point.gamma_scale = gamma_scale;
-        for (const auto& folds : fold_sets) {
-          const CrossValResult one =
-              cross_validate_with_folds(prototype, data, folds);
-          point.cv.fold_mae.insert(point.cv.fold_mae.end(),
-                                   one.fold_mae.begin(),
-                                   one.fold_mae.end());
-        }
-        point.cv.mean_mae = stats::mean(point.cv.fold_mae);
-        point.cv.sd_mae = point.cv.fold_mae.size() >= 2
-                              ? stats::stddev(point.cv.fold_mae)
-                              : 0.0;
-        if (point.cv.mean_mae < best) {
-          best = point.cv.mean_mae;
-          result.best_index = result.grid.size();
-        }
-        result.grid.push_back(std::move(point));
+    std::vector<SvrGridPoint> points;
+    for (double penalty : penalties) {
+      for (double eps : epsilons) {
+        points.push_back({penalty, eps, gamma_scale, {}, 0});
       }
     }
-  }
-  if (result.grid.empty()) {
-    throw std::invalid_argument("svr_grid_search: empty grid");
+    for (const auto& folds : fold_sets) {
+      for (std::size_t f = 0; f < folds.size(); ++f) {
+        const TrainTestSplit split = kfold_split(data, folds, f);
+        for (std::size_t ie = 0; ie < ne; ++ie) {
+          SvrConfig config;
+          config.kernel = kernel;
+          config.epsilon = epsilons[ie];
+          config.gamma_scale = gamma_scale;
+          const auto models = SupportVectorRegression::fit_penalty_path(
+              config, penalties, split.train);
+          for (std::size_t ip = 0; ip < models.size(); ++ip) {
+            SvrGridPoint& point = points[ip * ne + ie];
+            point.cv.fold_mae.push_back(mean_absolute_error(
+                split.test.targets(), models[ip].predict_all(split.test)));
+            if (!models[ip].converged()) ++point.capped_folds;
+          }
+        }
+      }
+    }
+    for (SvrGridPoint& point : points) {
+      summarize(point.cv);
+      if (point.cv.mean_mae < best) {
+        best = point.cv.mean_mae;
+        result.best_index = result.grid.size();
+      }
+      result.grid.push_back(std::move(point));
+    }
   }
   return result;
 }

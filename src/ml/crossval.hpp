@@ -37,6 +37,9 @@ struct SvrGridPoint {
   double epsilon;
   double gamma_scale = 1.0;  // RBF kernels only
   CrossValResult cv;
+  /// Fold fits that stopped at SvrConfig::max_sweeps before meeting the
+  /// tolerance (SupportVectorRegression::converged() false).
+  std::size_t capped_folds = 0;
 };
 
 struct SvrGridSearchResult {
@@ -65,7 +68,10 @@ struct SvrGrid {
 
 /// Grid-search CV: for every (penalty, epsilon) pair, k-fold cross
 /// validates an SVR with the given kernel and records the MAE. All grid
-/// points use the same fold assignment so the comparison is paired.
+/// points use the same fold assignment so the comparison is paired. The
+/// penalties of one (gamma scale, epsilon, fold) are fitted as one
+/// SupportVectorRegression::fit_penalty_path, which equals separate fits
+/// bit for bit.
 SvrGridSearchResult svr_grid_search(const KernelConfig& kernel,
                                     const Dataset& data, std::size_t k,
                                     util::Rng& rng, const SvrGrid& grid = {});

@@ -15,6 +15,14 @@
 // has no tuning parameters besides the convergence tolerance, and converges
 // for any PSD kernel.
 //
+// Penalty path: descent starts from beta = 0 and C enters only through the
+// box clip, so the run for C is, operation for operation, the run for any
+// larger C until the first coordinate whose unclipped candidate leaves
+// [-C, C]. fit_penalty_path() exploits this: it runs the largest penalty,
+// snapshots the exact solver state where each smaller one first diverges,
+// and finishes those from their snapshots. Every result is bit-identical to
+// a separate fit() at that penalty.
+//
 // Prediction: f(x) = sum_i beta_i K(x_i, x) + b with b = sum_i beta_i.
 #pragma once
 
@@ -49,6 +57,15 @@ class SupportVectorRegression final : public Regressor {
  public:
   explicit SupportVectorRegression(SvrConfig config = {});
 
+  /// Fits one model per entry of `penalties` (any order, duplicates
+  /// allowed) with every other setting from `config`. Model k is
+  /// bit-identical to SupportVectorRegression(config with penalty =
+  /// penalties[k]) after fit(data), at the cost of about one fit plus the
+  /// tails after each divergence.
+  static std::vector<SupportVectorRegression> fit_penalty_path(
+      SvrConfig config, std::span<const double> penalties,
+      const Dataset& data);
+
   void fit(const Dataset& data) override;
   double predict(std::span<const double> x) const override;
   std::unique_ptr<Regressor> clone_unfitted() const override;
@@ -62,6 +79,9 @@ class SupportVectorRegression final : public Regressor {
   const SvrConfig& config() const { return config_; }
   /// Sweeps the last fit() took to converge.
   int sweeps_used() const { return sweeps_used_; }
+  /// Whether the last fit() met the tolerance; false when it stopped at
+  /// max_sweeps instead.
+  bool converged() const { return converged_; }
 
  private:
   SvrConfig config_;
@@ -70,6 +90,7 @@ class SupportVectorRegression final : public Regressor {
   std::vector<std::vector<double>> support_x_;
   std::vector<double> beta_;
   int sweeps_used_ = 0;
+  bool converged_ = false;
 };
 
 }  // namespace cmdare::ml

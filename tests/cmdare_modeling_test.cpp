@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "cmdare/checkpoint_modeling.hpp"
 #include "cmdare/speed_modeling.hpp"
 #include "nn/model_zoo.hpp"
@@ -192,6 +194,46 @@ TEST_F(ModelingTest, CheckpointPredictorWorksFromModel) {
       CheckpointTimePredictor::train(*ckpt_measurements_, rng);
   const double seconds = predictor.predict_seconds(nn::resnet32());
   EXPECT_NEAR(seconds, 3.84, 0.6);  // paper's measured ResNet-32 value
+}
+
+TEST_F(ModelingTest, PredictorsMatchGoldenValues) {
+  // Exact predictions of both trained predictors at a fixed seed. Any
+  // change to the SVR solver, the grid search or the fold/RNG plumbing
+  // that moves a single bit of a prediction fails here; speed work on
+  // that path must keep every value identical.
+  util::Rng rng(14);
+  const StepTimePredictor step =
+      StepTimePredictor::train(*step_measurements_, rng);
+  const CheckpointTimePredictor ckpt =
+      CheckpointTimePredictor::train(*ckpt_measurements_, rng);
+  struct StepGolden {
+    cloud::GpuType gpu;
+    double gflops;
+    double seconds;
+  };
+  const StepGolden step_golden[] = {
+      {cloud::GpuType::kK80, 0.3, 0.079152946121251011},
+      {cloud::GpuType::kK80, 1.5, 0.21161521209391232},
+      {cloud::GpuType::kK80, 4.0, 0.4486036278463883},
+      {cloud::GpuType::kK80, 12.0, 0.86751447908181056},
+      {cloud::GpuType::kP100, 0.3, 0.040805991922603368},
+      {cloud::GpuType::kP100, 1.5, 0.088592350884206805},
+      {cloud::GpuType::kP100, 4.0, 0.1662146358951766},
+      {cloud::GpuType::kP100, 12.0, 0.27196312614217444},
+  };
+  for (const auto& g : step_golden) {
+    EXPECT_EQ(step.predict_step_seconds(g.gpu, g.gflops), g.seconds)
+        << cloud::gpu_name(g.gpu) << " at " << g.gflops << " GFLOPs";
+  }
+  const std::pair<double, double> ckpt_golden[] = {
+      {5.0, 3.7482726028057272},
+      {50.0, 5.4181654453948163},
+      {250.0, 4.2295385833992132},
+      {900.0, 4.020080887512151},
+  };
+  for (const auto& [mb, seconds] : ckpt_golden) {
+    EXPECT_EQ(ckpt.predict_seconds_for_mb(mb), seconds) << mb << " MB";
+  }
 }
 
 TEST(Modeling, EvaluateRejectsEmptyInput) {
