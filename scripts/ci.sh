@@ -2,15 +2,16 @@
 # CI entry point: tier-1 (full build + full ctest), the fault/supervise/
 # obs/fleet/simcore/exp/ckpt/ml label suites rebuilt under AddressSanitizer,
 # and the concurrency-heavy tests (obs, campaign engine, journal resume,
-# supervised sweeps, fleet campaigns) under ThreadSanitizer. The simcore label rides along in
-# the ASan/UBSan stages because the event engine hands out arena slots
-# with generation-checked handles — lifetime bugs there are exactly what
-# the sanitizers exist to catch. The ml label (SVR penalty path and grid
-# search, predictor goldens) rides along for the same reason: the path
-# solver resumes descents from index-heavy state snapshots. The
-# perf-snapshot gate (--bench) is explicit only: it re-runs bench_snapshot
-# against the checked-in BENCH_*.json and fails on a regression beyond the
-# tolerance band.
+# scenario sweeps, the first build of the shared model zoo and revocation
+# calibration on pool threads, supervised sweeps, fleet campaigns) under
+# ThreadSanitizer. The simcore label rides along in the ASan/UBSan stages
+# because the event engine hands out arena slots with generation-checked
+# handles — lifetime bugs there are exactly what the sanitizers exist to
+# catch. The ml label (SVR penalty path and grid search, predictor goldens)
+# rides along for the same reason: the path solver resumes descents from
+# index-heavy state snapshots. The perf-snapshot gate (--bench) is explicit
+# only: it re-runs bench_snapshot against the checked-in BENCH_*.json and
+# fails on a regression beyond the tolerance band.
 #
 #   scripts/ci.sh            # tier-1 + asan + tsan + ubsan
 #   scripts/ci.sh --tier1    # tier-1 only
@@ -71,7 +72,7 @@ if $run_tsan; then
     -DCMDARE_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R '^(ObsConcurrency|ThreadPool|Campaign|CampaignSpec|CampaignJournal|HeartbeatDetector|HazardEstimator|AdaptiveCheckpointController|SupervisedRun|DetectionCampaign|FleetCampaign|StormCampaign)\.'
+    -R '^(ObsConcurrency|ThreadPool|Campaign|CampaignSpec|CampaignJournal|ScenarioCampaign|SharedCalibration|HeartbeatDetector|HazardEstimator|AdaptiveCheckpointController|SupervisedRun|DetectionCampaign|FleetCampaign|StormCampaign)\.'
 fi
 
 if $run_ubsan; then

@@ -142,6 +142,11 @@ RevocationModel::RevocationModel() {
   }
 }
 
+const RevocationModel& RevocationModel::calibrated() {
+  static const RevocationModel model;
+  return model;
+}
+
 double RevocationModel::base_rate_per_hour(Region region, GpuType gpu) const {
   const double base =
       base_[static_cast<std::size_t>(region)][static_cast<std::size_t>(gpu)];

@@ -58,7 +58,15 @@ const RevocationTarget& revocation_target(Region region, GpuType gpu);
 
 class RevocationModel {
  public:
+  /// Calibrates the base rates and thinning majorants (12 numerical
+  /// integrals). Draws no randomness.
   RevocationModel();
+
+  /// The process-wide calibrated model, built on first use (thread-safe)
+  /// and immutable afterwards. Bit-identical to a freshly constructed one;
+  /// every method is const and draws only from the caller's rng, so it
+  /// may be shared across threads.
+  static const RevocationModel& calibrated();
 
   /// Hour-of-day hazard weight for a GPU type (mean ~1 over the day).
   double tod_weight(GpuType gpu, double local_hour) const;

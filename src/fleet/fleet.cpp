@@ -79,8 +79,7 @@ FleetSim::FleetSim(simcore::Simulator& sim, cloud::CloudProvider& provider,
   for (const FleetPool& p : pools_) {
     provider_->set_pool_capacity(p.region, p.gpu, config_.capacity_per_pool);
   }
-  std::vector<nn::CnnModel> zoo;
-  if (config_.model_mix) zoo = nn::canonical_models();
+  const std::vector<nn::CnnModel>& zoo = nn::all_models();
   tenants_.reserve(static_cast<std::size_t>(config_.tenants));
   // One independent stream per tenant, derived in a single batch; each
   // element is bit-identical to rng_.fork(i), so tenant draws are pinned
@@ -99,7 +98,8 @@ FleetSim::FleetSim(simcore::Simulator& sim, cloud::CloudProvider& provider,
     job.bid = 1.0 + config_.bid_spread * draw.uniform();
     job.deadline_s = config_.deadline_hours * 3600.0;
     const nn::CnnModel& model =
-        config_.model_mix ? zoo[draw.uniform_index(zoo.size())] : base_model;
+        config_.model_mix ? zoo[draw.uniform_index(nn::kCanonicalModelCount)]
+                          : base_model;
     job.model_name = model.name();
     for (cloud::GpuType gpu : cloud::kAllGpuTypes) {
       job.step_seconds[static_cast<int>(gpu)] =

@@ -1,6 +1,7 @@
 #include "nn/model_zoo.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace cmdare::nn {
 namespace {
@@ -163,19 +164,28 @@ std::vector<CnnModel> custom_models() {
   return models;
 }
 
-std::vector<CnnModel> all_models() {
-  std::vector<CnnModel> models = canonical_models();
-  std::vector<CnnModel> custom = custom_models();
-  models.insert(models.end(), std::make_move_iterator(custom.begin()),
-                std::make_move_iterator(custom.end()));
-  return models;
+const std::vector<CnnModel>& all_models() {
+  static const std::vector<CnnModel> zoo = [] {
+    std::vector<CnnModel> models = canonical_models();
+    std::vector<CnnModel> custom = custom_models();
+    models.insert(models.end(), std::make_move_iterator(custom.begin()),
+                  std::make_move_iterator(custom.end()));
+    return models;
+  }();
+  return zoo;
 }
 
-CnnModel model_by_name(const std::string& name) {
-  for (CnnModel& m : all_models()) {
-    if (m.name() == name) return std::move(m);
+const CnnModel* find_model(std::string_view name) {
+  for (const CnnModel& m : all_models()) {
+    if (m.name() == name) return &m;
   }
-  throw std::invalid_argument("model_by_name: unknown model " + name);
+  return nullptr;
+}
+
+const CnnModel& model_by_name(std::string_view name) {
+  if (const CnnModel* model = find_model(name)) return *model;
+  throw std::invalid_argument("model_by_name: unknown model " +
+                              std::string(name));
 }
 
 }  // namespace cmdare::nn

@@ -9,6 +9,8 @@
 // complexities (see tests/nn_test.cpp for the tolerance check).
 #pragma once
 
+#include <cstddef>
+#include <string_view>
 #include <vector>
 
 #include "nn/model.hpp"
@@ -28,6 +30,9 @@ CnnModel make_resnet(const std::string& name, int blocks_per_stage,
 CnnModel make_shake_shake(const std::string& name, int blocks_per_stage,
                           int base_width);
 
+/// Number of canonical models; they lead all_models().
+inline constexpr std::size_t kCanonicalModelCount = 4;
+
 /// The paper's four canonical models.
 CnnModel resnet15();
 CnnModel resnet32();
@@ -39,10 +44,15 @@ std::vector<CnnModel> canonical_models();
 /// families, complexities spanning ~0.2 to ~27 GFLOPs).
 std::vector<CnnModel> custom_models();
 
-/// All twenty models, canonical first.
-std::vector<CnnModel> all_models();
+/// All twenty models, canonical first. The zoo is built once per process,
+/// on first use (thread-safe), and never changes afterwards, so references
+/// into it stay valid and may be read from any thread.
+const std::vector<CnnModel>& all_models();
 
-/// Looks up any zoo model by name; throws std::invalid_argument if absent.
-CnnModel model_by_name(const std::string& name);
+/// The zoo model with this name, or nullptr if there is none.
+const CnnModel* find_model(std::string_view name);
+
+/// The zoo model with this name; throws std::invalid_argument if absent.
+const CnnModel& model_by_name(std::string_view name);
 
 }  // namespace cmdare::nn

@@ -8,17 +8,6 @@
 #include "stats/descriptive.hpp"
 
 namespace cmdare::scenario {
-namespace {
-
-// Shared immutable hazard model: construction calibrates the base rates
-// numerically, so do it once; all sampling methods are const and take
-// the replica's private rng, making concurrent use safe.
-const cloud::RevocationModel& revocation_model() {
-  static const cloud::RevocationModel model;
-  return model;
-}
-
-}  // namespace
 
 exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context) {
   exp::ReplicaResult result;
@@ -26,8 +15,9 @@ exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context) {
   if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
   const int samples =
       static_cast<int>(context.spec.param("samples_per_replica", 50.0));
+  const cloud::RevocationModel& hazard = cloud::RevocationModel::calibrated();
   for (int i = 0; i < samples; ++i) {
-    const auto age = revocation_model().sample_revocation_age_seconds(
+    const auto age = hazard.sample_revocation_age_seconds(
         cell.region, cell.gpu, static_cast<double>(cell.launch_hour),
         context.rng);
     const double hours =
@@ -45,8 +35,9 @@ exp::ReplicaResult launch_replica(exp::ReplicaContext& context) {
   const double duration_h = context.spec.param("duration_hours", 8.0);
   const int samples =
       static_cast<int>(context.spec.param("samples_per_replica", 50.0));
+  const cloud::RevocationModel& hazard = cloud::RevocationModel::calibrated();
   for (int i = 0; i < samples; ++i) {
-    const auto age = revocation_model().sample_revocation_age_seconds(
+    const auto age = hazard.sample_revocation_age_seconds(
         cell.region, cell.gpu, static_cast<double>(cell.launch_hour),
         context.rng);
     result.observe("revoked_in_job",

@@ -137,7 +137,7 @@ void SimHarness::build() {
     plane_ = std::make_unique<ckpt::CheckpointPlane>(sim_, store_, spec_.ckpt,
                                                      &injector_);
   }
-  const nn::CnnModel model = nn::model_by_name(spec_.model);
+  const nn::CnnModel& model = nn::model_by_name(spec_.model);
 
   switch (spec_.kind) {
     case HarnessKind::kRun: {

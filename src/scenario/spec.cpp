@@ -1044,9 +1044,7 @@ std::string serialize(const ScenarioSpec& spec) {
 
 std::vector<std::string> validate(const ScenarioSpec& spec) {
   std::vector<std::string> errors;
-  try {
-    (void)nn::model_by_name(spec.model);
-  } catch (const std::exception&) {
+  if (nn::find_model(spec.model) == nullptr) {
     errors.push_back("unknown model \"" + spec.model + "\"");
   }
   if (spec.workers.empty() &&

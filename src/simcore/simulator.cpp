@@ -38,7 +38,7 @@ EventHandle Simulator::schedule_at(SimTime when, std::nullptr_t,
 EventHandle Simulator::schedule_after(SimTime delay, std::nullptr_t,
                                       const char*) {
   require_non_negative_delay(delay);
-  throw std::invalid_argument("Simulator::schedule_at: empty callback");
+  throw std::invalid_argument("Simulator::schedule_after: empty callback");
 }
 
 void Simulator::schedule_every(SimTime period, std::nullptr_t, const char*) {

@@ -121,6 +121,7 @@ class Simulator {
   EventHandle schedule_after(SimTime delay, Fn&& fn,
                              const char* tag = nullptr) {
     require_non_negative_delay(delay);
+    require_non_empty(fn, "Simulator::schedule_after: empty callback");
     return schedule_at(now_ + delay, std::forward<Fn>(fn), tag);
   }
   EventHandle schedule_after(SimTime delay, std::nullptr_t,

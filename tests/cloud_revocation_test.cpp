@@ -2,7 +2,9 @@
 
 #include <cmath>
 
+#include "cloud/provider.hpp"
 #include "cloud/revocation.hpp"
+#include "simcore/simulator.hpp"
 #include "stats/descriptive.hpp"
 
 namespace cmdare::cloud {
@@ -39,6 +41,39 @@ TEST(RevocationModel, CalibratedProbabilitiesHitTableV) {
     EXPECT_NEAR(p, t.revoked_fraction, 0.01)
         << region_name(t.region) << " " << gpu_name(t.gpu);
   }
+}
+
+// The shared instance is the calibration a fresh model computes, bit for
+// bit, and samples the same draws from the same seed.
+TEST(RevocationModel, CalibratedInstanceMatchesFreshModel) {
+  const RevocationModel& shared = RevocationModel::calibrated();
+  EXPECT_EQ(&shared, &RevocationModel::calibrated());
+  const RevocationModel fresh;
+  for (const auto& t : revocation_targets()) {
+    EXPECT_EQ(shared.base_rate_per_hour(t.region, t.gpu),
+              fresh.base_rate_per_hour(t.region, t.gpu))
+        << region_name(t.region) << " " << gpu_name(t.gpu);
+    util::Rng shared_rng(7);
+    util::Rng fresh_rng(7);
+    for (int i = 0; i < 200; ++i) {
+      const double hour = static_cast<double>(i % 24);
+      EXPECT_EQ(shared.sample_revocation_age_seconds(t.region, t.gpu, hour,
+                                                     shared_rng),
+                fresh.sample_revocation_age_seconds(t.region, t.gpu, hour,
+                                                    fresh_rng))
+          << region_name(t.region) << " " << gpu_name(t.gpu) << " " << i;
+    }
+  }
+  EXPECT_THROW(shared.base_rate_per_hour(Region::kUsEast1, GpuType::kV100),
+               std::invalid_argument);
+}
+
+TEST(RevocationModel, ProvidersShareTheCalibratedModel) {
+  simcore::Simulator sim;
+  const CloudProvider first(sim, util::Rng(1));
+  const CloudProvider second(sim, util::Rng(2));
+  EXPECT_EQ(&first.revocation_model(), &second.revocation_model());
+  EXPECT_EQ(&first.revocation_model(), &RevocationModel::calibrated());
 }
 
 TEST(RevocationModel, SampledFrequenciesMatchTargets) {

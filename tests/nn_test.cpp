@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "nn/checkpoint_size.hpp"
 #include "nn/layer.hpp"
@@ -133,9 +135,60 @@ TEST(ModelZoo, WiderNetworkScalesQuadratically) {
 }
 
 TEST(ModelZoo, LookupByName) {
-  const CnnModel m = model_by_name("resnet-32");
+  const CnnModel& m = model_by_name("resnet-32");
   EXPECT_EQ(m.name(), "resnet-32");
   EXPECT_THROW(model_by_name("alexnet"), std::invalid_argument);
+  EXPECT_EQ(find_model("alexnet"), nullptr);
+  EXPECT_EQ(find_model(""), nullptr);
+}
+
+// The zoo is built once: every lookup of a name lands on the same object
+// in all_models(), and repeated calls return the same vector.
+TEST(ModelZoo, LookupsShareOneZoo) {
+  const std::vector<CnnModel>& zoo = all_models();
+  EXPECT_EQ(&zoo, &all_models());
+  for (const CnnModel& m : zoo) {
+    EXPECT_EQ(find_model(m.name()), &m) << m.name();
+    EXPECT_EQ(&model_by_name(m.name()), &m) << m.name();
+  }
+}
+
+void expect_same_model(const CnnModel& zoo_model, const CnnModel& fresh) {
+  EXPECT_EQ(zoo_model.name(), fresh.name());
+  EXPECT_EQ(zoo_model.architecture(), fresh.architecture());
+  EXPECT_EQ(zoo_model.gflops(), fresh.gflops()) << fresh.name();
+  EXPECT_EQ(zoo_model.forward_flops_per_image(),
+            fresh.forward_flops_per_image())
+      << fresh.name();
+  EXPECT_EQ(zoo_model.parameter_count(), fresh.parameter_count())
+      << fresh.name();
+  EXPECT_EQ(zoo_model.tensor_count(), fresh.tensor_count()) << fresh.name();
+  EXPECT_EQ(zoo_model.layer_count(), fresh.layer_count()) << fresh.name();
+}
+
+// The shared zoo holds exactly what the builders make, in the documented
+// order (canonical first, then the custom variants).
+TEST(ModelZoo, SharedZooMatchesFreshBuilds) {
+  std::vector<CnnModel> fresh = canonical_models();
+  for (CnnModel& m : custom_models()) fresh.push_back(std::move(m));
+  const std::vector<CnnModel>& zoo = all_models();
+  ASSERT_EQ(zoo.size(), fresh.size());
+  for (std::size_t i = 0; i < zoo.size(); ++i) {
+    expect_same_model(zoo[i], fresh[i]);
+  }
+  EXPECT_EQ(canonical_models().size(), kCanonicalModelCount);
+  // Custom names encode the builder arguments: resnet depth 6n + 2 and
+  // shake-shake blocks per stage, then the base width.
+  expect_same_model(model_by_name("resnet-d14-w16"),
+                    make_resnet("resnet-d14-w16", 2, 16));
+  expect_same_model(model_by_name("resnet-d74-w64"),
+                    make_resnet("resnet-d74-w64", 12, 64));
+  expect_same_model(model_by_name("shake-d4-w48"),
+                    make_shake_shake("shake-d4-w48", 4, 48));
+  expect_same_model(model_by_name("resnet-15"),
+                    make_resnet("resnet-15", 2, 31));
+  expect_same_model(model_by_name("shake-shake-big"),
+                    make_shake_shake("shake-shake-big", 4, 93));
 }
 
 TEST(ModelZoo, BuildersValidate) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
@@ -462,6 +463,11 @@ TEST(ScenarioSpec, ValidateFlagsUnknownModel) {
   const auto errors = validate(spec);
   ASSERT_FALSE(errors.empty());
   EXPECT_NE(errors[0].find("alexnet-9000"), std::string::npos);
+  spec.model = "alexnet";
+  EXPECT_EQ(validate(spec),
+            std::vector<std::string>{"unknown model \"alexnet\""});
+  spec.model = "shake-d4-w48";  // a custom zoo model
+  EXPECT_TRUE(validate(spec).empty());
 }
 
 TEST(ScenarioSpec, ValidateFlagsNonTerminatingRun) {

@@ -136,6 +136,32 @@ TEST(Simulator, RejectsInvalidSchedules) {
   EXPECT_THROW(sim.schedule_at(std::nan(""), [] {}), std::invalid_argument);
 }
 
+// Empty callbacks are reported under the name of the call that got them,
+// for the nullptr overloads and for an empty std::function alike.
+TEST(Simulator, EmptyCallbackErrorNamesTheCall) {
+  const auto message = [](const auto& schedule) {
+    try {
+      schedule();
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no exception");
+  };
+  Simulator sim;
+  const std::function<void()> empty;
+  EXPECT_EQ(message([&] { sim.schedule_at(1.0, nullptr); }),
+            "Simulator::schedule_at: empty callback");
+  EXPECT_EQ(message([&] { sim.schedule_at(1.0, empty); }),
+            "Simulator::schedule_at: empty callback");
+  EXPECT_EQ(message([&] { sim.schedule_after(1.0, nullptr); }),
+            "Simulator::schedule_after: empty callback");
+  EXPECT_EQ(message([&] { sim.schedule_after(1.0, empty); }),
+            "Simulator::schedule_after: empty callback");
+  EXPECT_EQ(message([&] { sim.schedule_every(1.0, nullptr); }),
+            "Simulator::schedule_every: empty callback");
+  EXPECT_EQ(sim.queued_events(), 0u);
+}
+
 TEST(Simulator, CountsFiredEvents) {
   Simulator sim;
   for (int i = 0; i < 5; ++i) sim.schedule_at(i, [] {});
