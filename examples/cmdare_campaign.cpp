@@ -130,7 +130,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (!seed_text.empty()) {
-    seed = std::strtoull(seed_text.c_str(), nullptr, 10);
+    if (!util::parse_number(seed_text, &seed)) {
+      std::fprintf(stderr,
+                   "error: --seed wants an unsigned integer, got \"%s\"\n",
+                   seed_text.c_str());
+      return 1;
+    }
     seed_set = true;
   }
   if (resume && journal_path.empty()) {

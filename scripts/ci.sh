@@ -1,17 +1,20 @@
 #!/usr/bin/env bash
 # CI entry point: tier-1 (full build + full ctest), the fault/supervise/
-# obs/fleet/simcore/exp/ckpt/ml label suites rebuilt under AddressSanitizer,
-# and the concurrency-heavy tests (obs, campaign engine, journal resume,
-# scenario sweeps, the first build of the shared model zoo and revocation
-# calibration on pool threads, supervised sweeps, fleet campaigns) under
-# ThreadSanitizer. The simcore label rides along in the ASan/UBSan stages
-# because the event engine hands out arena slots with generation-checked
-# handles — lifetime bugs there are exactly what the sanitizers exist to
-# catch. The ml label (SVR penalty path and grid search, predictor goldens)
-# rides along for the same reason: the path solver resumes descents from
-# index-heavy state snapshots. The perf-snapshot gate (--bench) is explicit
-# only: it re-runs bench_snapshot against the checked-in BENCH_*.json and
-# fails on a regression beyond the tolerance band.
+# obs/fleet/simcore/exp/ckpt/ml/scenario label suites rebuilt under
+# AddressSanitizer, and the concurrency-heavy tests (obs, campaign engine,
+# journal resume, scenario sweeps, the first build of the shared model zoo
+# and revocation calibration on pool threads, supervised sweeps, fleet
+# campaigns) under ThreadSanitizer. The simcore label rides along in the
+# ASan/UBSan stages because the event engine hands out arena slots with
+# generation-checked handles — lifetime bugs there are exactly what the
+# sanitizers exist to catch. The ml label (SVR penalty path and grid
+# search, predictor goldens) rides along for the same reason: the path
+# solver resumes descents from index-heavy state snapshots. The scenario
+# label (the spec codec tests and the fuzzers) rides along because the
+# spec parser reads user files through a table of member accessors. The
+# perf-snapshot gate (--bench) is explicit only: it re-runs bench_snapshot
+# against the checked-in BENCH_*.json and fails on a regression beyond the
+# tolerance band.
 #
 #   scripts/ci.sh            # tier-1 + asan + tsan + ubsan
 #   scripts/ci.sh --tier1    # tier-1 only
@@ -58,11 +61,12 @@ if $run_tier1; then
 fi
 
 if $run_asan; then
-  echo "=== asan: faults + supervise + obs + fleet + simcore + exp + ckpt + ml labels under AddressSanitizer ==="
+  echo "=== asan: faults + supervise + obs + fleet + simcore + exp + ckpt + ml + scenario labels under AddressSanitizer ==="
   cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMDARE_SANITIZE=address
   cmake --build build-asan -j "$jobs"
-  ctest --test-dir build-asan -L 'faults|supervise|obs|fleet|simcore|exp|ckpt|ml' \
+  ctest --test-dir build-asan \
+    -L 'faults|supervise|obs|fleet|simcore|exp|ckpt|ml|scenario' \
     --output-on-failure -j "$jobs"
 fi
 
@@ -76,11 +80,12 @@ if $run_tsan; then
 fi
 
 if $run_ubsan; then
-  echo "=== ubsan: faults + supervise + simcore + exp + ckpt + ml labels under UndefinedBehaviorSanitizer ==="
+  echo "=== ubsan: faults + supervise + simcore + exp + ckpt + ml + scenario labels under UndefinedBehaviorSanitizer ==="
   cmake -B build-ubsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMDARE_SANITIZE=undefined
   cmake --build build-ubsan -j "$jobs"
-  ctest --test-dir build-ubsan -L 'faults|supervise|simcore|exp|ckpt|ml' \
+  ctest --test-dir build-ubsan \
+    -L 'faults|supervise|simcore|exp|ckpt|ml|scenario' \
     --output-on-failure -j "$jobs"
 fi
 

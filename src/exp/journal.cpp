@@ -1,6 +1,5 @@
 #include "exp/journal.hpp"
 
-#include <charconv>
 #include <stdexcept>
 
 #include "util/strings.hpp"
@@ -60,24 +59,6 @@ bool unescape_field(std::string_view s, std::string* out) {
   return true;
 }
 
-// Shortest text that round-trips the exact double — replayed
-// observations fold to bit-identical aggregates.
-std::string format_value(double v) {
-  char buffer[64];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), v);
-  return ec == std::errc() ? std::string(buffer, ptr) : std::string("0");
-}
-
-bool parse_value(std::string_view text, double* out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
-bool parse_unsigned(std::string_view text, unsigned long long* out) {
-  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(), *out);
-  return ec == std::errc() && ptr == text.data() + text.size();
-}
-
 [[noreturn]] void bad_line(int line_number, const std::string& what) {
   throw std::invalid_argument("campaign journal line " +
                               std::to_string(line_number) + ": " + what);
@@ -111,7 +92,7 @@ std::string format_journal_entry(const JournalEntry& entry) {
     out += '\t';
     out += escape_field(metric);
     out += '\t';
-    out += format_value(value);
+    out += util::format_shortest(value);
   }
   out += '\t';
   out += std::to_string(entry.ledger.size());
@@ -158,7 +139,7 @@ JournalContents parse_journal(std::string_view text) {
     const std::string_view key = std::string_view(token).substr(0, eq);
     const std::string_view value = std::string_view(token).substr(eq + 1);
     unsigned long long parsed = 0;
-    if (!parse_unsigned(value, &parsed)) {
+    if (!util::parse_number(value, &parsed)) {
       throw std::invalid_argument("campaign journal: bad header value \"" +
                                   token + "\"");
     }
@@ -190,8 +171,8 @@ JournalContents parse_journal(std::string_view text) {
     JournalEntry entry;
     unsigned long long cell = 0;
     unsigned long long replica = 0;
-    if (!parse_unsigned(fields[0], &cell) ||
-        !parse_unsigned(fields[1], &replica)) {
+    if (!util::parse_number(fields[0], &cell) ||
+        !util::parse_number(fields[1], &replica)) {
       bad_line(line_number, "bad cell/replica indices");
     }
     entry.cell = static_cast<std::size_t>(cell);
@@ -209,7 +190,7 @@ JournalContents parse_journal(std::string_view text) {
     if (fields[2] != "ok") bad_line(line_number, "unknown record tag");
 
     unsigned long long observation_count = 0;
-    if (!parse_unsigned(fields[f++], &observation_count) ||
+    if (!util::parse_number(fields[f++], &observation_count) ||
         fields.size() < f + 2 * observation_count + 1) {
       bad_line(line_number, "bad observation count");
     }
@@ -218,7 +199,7 @@ JournalContents parse_journal(std::string_view text) {
       std::string metric;
       double value = 0.0;
       if (!unescape_field(fields[f], &metric) ||
-          !parse_value(fields[f + 1], &value)) {
+          !util::parse_number(fields[f + 1], &value)) {
         bad_line(line_number, "bad observation");
       }
       entry.observations.emplace_back(std::move(metric), value);
@@ -226,7 +207,7 @@ JournalContents parse_journal(std::string_view text) {
     }
 
     unsigned long long event_count = 0;
-    if (!parse_unsigned(fields[f++], &event_count) ||
+    if (!util::parse_number(fields[f++], &event_count) ||
         fields.size() != f + event_count + 1) {  // + the "end" marker
       bad_line(line_number, "bad ledger event count");
     }

@@ -150,21 +150,26 @@ struct ParseResult {
 ParseResult parse(std::string_view text);
 
 /// Emits the canonical text form: every scalar field in a fixed order,
-/// plus `workers` / `stockouts` / `storms` lines when non-empty.
+/// plus `workers` / `stockouts` / `storms` / `ckpt.tier_outages` lines
+/// when non-empty.
 /// Lossless: parse(serialize(spec)).spec == spec for any valid spec.
 std::string serialize(const ScenarioSpec& spec);
 
 /// Sets one field by key (the same keys serialize() emits, plus the
 /// write-only conveniences `fault_rate` — FaultPlan::uniform shorthand —
-/// and `worker` / `stockout` / `storm`, which append one entry). Returns an error
+/// and `worker` / `stockout` / `storm` / `ckpt.tier_outage`, which append
+/// entries). A rejected value leaves the spec untouched. Returns an error
 /// message, or std::nullopt on success. This is the extension point that
 /// makes any field sweepable by run_scenario_campaign.
 std::optional<std::string> set_field(ScenarioSpec& spec, std::string_view key,
                                      std::string_view value);
 
-/// Semantic checks beyond per-field ranges: unknown model name, missing
-/// workers for kinds that need them, a run that could never terminate.
-/// Empty = valid.
+/// Every key's range (the same one set_field() enforces, whatever the
+/// section's `enabled` flag), every list entry, and the cross-field
+/// checks: unknown model name, missing workers for kinds that need them,
+/// a run that could never terminate, fleet, supervision and breaker
+/// consistency. Empty = valid, and a valid spec survives
+/// parse(serialize(spec)) unchanged.
 std::vector<std::string> validate(const ScenarioSpec& spec);
 
 }  // namespace cmdare::scenario

@@ -1,27 +1,12 @@
 #include "util/args.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <utility>
 #include <stdexcept>
 
+#include "util/strings.hpp"
+
 namespace cmdare::util {
-namespace {
-
-template <typename T>
-std::string parse_number(const std::string& value, T* out) {
-  const char* first = value.data();
-  const char* last = first + value.size();
-  T parsed{};
-  const auto [ptr, ec] = std::from_chars(first, last, parsed);
-  if (ec != std::errc() || ptr != last) {
-    return "expected a number, got \"" + value + "\"";
-  }
-  *out = parsed;
-  return "";
-}
-
-}  // namespace
 
 ArgParser::ArgParser(std::string program, std::string description)
     : program_(std::move(program)), description_(std::move(description)) {}
@@ -68,16 +53,9 @@ void ArgParser::add_int(const std::string& name, std::string hint,
                         std::string help, int* out) {
   add_option({name, std::move(hint), std::move(help),
               [out](const std::string& value) {
-                return parse_number(value, out);
-              },
-              true});
-}
-
-void ArgParser::add_uint64(const std::string& name, std::string hint,
-                           std::string help, std::uint64_t* out) {
-  add_option({name, std::move(hint), std::move(help),
-              [out](const std::string& value) {
-                return parse_number(value, out);
+                return parse_number(value, out)
+                           ? std::string()
+                           : "expected a number, got \"" + value + "\"";
               },
               true});
 }

@@ -14,7 +14,6 @@
 //   if (!args.parse(argc, argv, &error)) { ... args.help_text() ... }
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -34,12 +33,10 @@ class ArgParser {
   /// `--name <hint>`, repeatable; every occurrence is appended.
   void add_repeated(const std::string& name, std::string hint,
                     std::string help, std::vector<std::string>* out);
-  /// `--name <hint>` parsed as int / uint64; a non-numeric value is a
-  /// parse error.
+  /// `--name <hint>` parsed as an int; a non-numeric value is a parse
+  /// error.
   void add_int(const std::string& name, std::string hint, std::string help,
                int* out);
-  void add_uint64(const std::string& name, std::string hint, std::string help,
-                  std::uint64_t* out);
 
   /// Positional operand, consumed in declaration order. Required ones
   /// must appear before optional ones.

@@ -7,6 +7,8 @@
 #include <cstdlib>
 #include <utility>
 
+#include "util/strings.hpp"
+
 namespace cmdare::util::json {
 namespace {
 
@@ -385,11 +387,7 @@ std::string escape(std::string_view s) {
 }
 
 std::string format_number(double value) {
-  if (!std::isfinite(value)) return "0";
-  char buffer[64];
-  const auto [ptr, ec] =
-      std::to_chars(buffer, buffer + sizeof(buffer), value);
-  return ec == std::errc() ? std::string(buffer, ptr) : "0";
+  return std::isfinite(value) ? format_shortest(value) : "0";
 }
 
 std::string serialize(const Value& value) {

@@ -56,6 +56,12 @@ std::string format_double(double value, int precision) {
   return std::string(buf.data());
 }
 
+std::string format_shortest(double value) {
+  char buffer[64];  // a double needs at most 24 characters
+  return std::string(buffer,
+                     std::to_chars(buffer, buffer + sizeof(buffer), value).ptr);
+}
+
 std::string format_bytes(double bytes) {
   static const char* kUnits[] = {"B", "KB", "MB", "GB", "TB"};
   int unit = 0;

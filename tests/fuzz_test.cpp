@@ -16,6 +16,7 @@
 #include "train/sync_session.hpp"
 #include "train/trace_io.hpp"
 #include "util/csv.hpp"
+#include "util/strings.hpp"
 
 namespace cmdare {
 namespace {
@@ -197,9 +198,36 @@ INSTANTIATE_TEST_SUITE_P(Scenarios, SyncFuzz, ::testing::Range(0, 8));
 
 class SpecParseFuzz : public ::testing::TestWithParam<int> {};
 
+/// Real key fragments: every key serialize() emits for a default spec,
+/// the list keys it omits while the lists are empty, and the write-only
+/// forms set_field() also accepts.
+std::vector<std::string> spec_keys() {
+  std::vector<std::string> keys = {"workers", "stockouts", "storms",
+                                   "ckpt.tier_outages", "fault_rate",
+                                   "worker", "stockout", "storm",
+                                   "ckpt.tier_outage"};
+  for (const std::string& line :
+       util::split(scenario::serialize(scenario::ScenarioSpec{}), '\n')) {
+    const std::size_t eq = line.find(" = ");
+    if (eq != std::string::npos) keys.push_back(line.substr(0, eq));
+  }
+  return keys;
+}
+
 TEST_P(SpecParseFuzz, RandomBytesNeverCrashTheParser) {
   // ScenarioSpec::parse is the boundary that eats user files: any byte
   // soup must come back as diagnostics, never a throw or a crash.
+  static const std::vector<std::string> kFragments = [] {
+    // Bias toward structure so parsing goes deeper than line 1:
+    // newlines, separators, value syntax and real keys.
+    std::vector<std::string> fragments = {
+        "\n", "=", "#", " x ", " @ ", "..", ",", "-", "1e", "true", "run",
+        "K80", "us-central1", "*", "/", "nan", "inf", "round-robin",
+        "cost-optimal", "kill=", "hazard=", "slow=", "local", "regional",
+        "cold", "supervise.", "fleet.", "ckpt.", "store.tier."};
+    for (std::string& key : spec_keys()) fragments.push_back(std::move(key));
+    return fragments;
+  }();
   util::Rng rng(6000 + GetParam());
   for (int doc = 0; doc < 50; ++doc) {
     std::string text;
@@ -207,23 +235,7 @@ TEST_P(SpecParseFuzz, RandomBytesNeverCrashTheParser) {
     text.reserve(length);
     for (std::size_t i = 0; i < length; ++i) {
       if (rng.bernoulli(0.15)) {
-        // Bias toward structure so parsing goes deeper than line 1:
-        // newlines, separators, and real key fragments.
-        static const char* kFragments[] = {
-            "\n", "=", "#", " x ", " @ ", "..", ",", "workers", "kind",
-            "seed", "fault_rate", "stockout", "utc_start_hour", "-", "1e",
-            "true", "run", "K80", "us-central1", "*", "/", "supervise.",
-            "enabled", "heartbeat_timeout_s", "retune_", "nan", "inf",
-            "fleet.", "tenants", "demand", "scheduler", "round-robin",
-            "cost-optimal", "capacity_", "migrate_gain", "storm", "storms",
-            "kill=", "hazard=", "slow=", "elastic.", "min_workers",
-            "breaker_failures", "breaker_backoff_s", "grow_hysteresis_s",
-            "futility_threshold", "deadline_hours", "ckpt.", "delta_ratio",
-            "max_delta_chain", "max_generations", "bit_rot_rate",
-            "torn_write_rate", "tier_outage", "tier_outages", "store.tier.",
-            "local", "regional", "cold", "latency_s", "bandwidth_gbps",
-            "usd_per_gb"};
-        text += kFragments[rng.uniform_index(std::size(kFragments))];
+        text += kFragments[rng.uniform_index(kFragments.size())];
       } else {
         text += static_cast<char>(rng.uniform_index(256));
       }
@@ -243,6 +255,11 @@ TEST_P(SpecParseFuzz, RandomBytesNeverCrashTheParser) {
       EXPECT_EQ(d.line, 0) << "canonical text rejected: " << d.message;
     }
     EXPECT_EQ(scenario::serialize(again.spec), canonical);
+    // A spec that parsed cleanly is valid, and a valid spec round-trips.
+    if (result.ok()) {
+      EXPECT_TRUE(again.ok());
+      EXPECT_EQ(again.spec, result.spec);
+    }
   }
 }
 

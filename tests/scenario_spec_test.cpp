@@ -2,11 +2,15 @@
 // malformed input surfacing as line-anchored diagnostics, never throws.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "scenario/spec.hpp"
 #include "scenario/sweep.hpp"
+#include "util/strings.hpp"
 
 namespace cmdare::scenario {
 namespace {
@@ -253,6 +257,213 @@ TEST(ScenarioSpec, ValidateFlagsDegenerateSupervision) {
   // values are inert).
   spec.supervision.enabled = false;
   EXPECT_TRUE(validate(spec).empty());
+}
+
+TEST(ScenarioSpec, ValidateRejectsWhatTheParserRejects) {
+  // Each of these once passed validate() though its canonical text did
+  // not parse back to it: validate() and set_field() now apply one range
+  // per key, whether or not the key's section is enabled.
+  using Mutation = void (*)(ScenarioSpec&);
+  const std::vector<std::pair<const char*, Mutation>> cases = {
+      {"ps_count = 2^21", [](ScenarioSpec& s) { s.ps_count = 1 << 21; }},
+      {"horizon_hours = nan",
+       [](ScenarioSpec& s) {
+         s.horizon_hours = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"checkpoint_max_retries = -1",
+       [](ScenarioSpec& s) { s.checkpoint_max_retries = -1; }},
+      {"ckpt.delta_ratio = 1e-12, plane on",
+       [](ScenarioSpec& s) {
+         s.ckpt.enabled = true;
+         s.ckpt.delta_ratio = 1e-12;
+       }},
+      {"ckpt.delta_ratio = 2, plane off",
+       [](ScenarioSpec& s) { s.ckpt.delta_ratio = 2.0; }},
+      {"supervise.heartbeat_period_s = 0, supervision off",
+       [](ScenarioSpec& s) { s.supervision.heartbeat.period_s = 0.0; }},
+      {"fleet.tenants = 0, kind = run",
+       [](ScenarioSpec& s) { s.fleet.tenants = 0; }},
+      {"name empty", [](ScenarioSpec& s) { s.name.clear(); }},
+      {"name with a comment mark", [](ScenarioSpec& s) { s.name = "a#2"; }},
+      {"name with a surrounding space",
+       [](ScenarioSpec& s) { s.name = "a "; }},
+      {"stockout window nan",
+       [](ScenarioSpec& s) {
+         faults::StockoutWindow window;
+         window.end_s = std::numeric_limits<double>::quiet_NaN();
+         s.faults.stockouts.push_back(window);
+       }},
+  };
+  for (const auto& [label, mutate] : cases) {
+    ScenarioSpec spec = minimal_valid();
+    mutate(spec);
+    EXPECT_FALSE(validate(spec).empty()) << label;
+    const ParseResult result = parse(serialize(spec));
+    EXPECT_FALSE(result.ok() && result.spec == spec) << label;
+  }
+  ScenarioSpec spec = minimal_valid();
+  EXPECT_TRUE(set_field(spec, "name", "demo#2").has_value());
+  EXPECT_EQ(spec, minimal_valid());
+}
+
+/// Stores `value` in an arithmetic member; false when the member cannot
+/// hold it exactly (NaN or a fraction in an integer member).
+template <typename T>
+bool store(T& member, double value) {
+  if constexpr (std::is_integral_v<T>) {
+    if (!(value == std::trunc(value))) return false;
+  }
+  member = static_cast<T>(value);
+  return true;
+}
+
+/// One numeric key with the range set_field() documents for it. `seed`
+/// is absent: every uint64 is a valid seed, so no value lies outside.
+struct NumericKey {
+  const char* key;
+  double min;
+  double max;
+  bool (*set)(ScenarioSpec&, double);
+};
+
+#define KEY(key, path, min, max) \
+  {key, min, max, [](ScenarioSpec& s, double v) { return store(s.path, v); }}
+
+constexpr double kHuge = 1e18;
+constexpr double kSteps = 1L << 40;
+
+const NumericKey kNumericKeys[] = {
+    KEY("ps_count", ps_count, 1, 1 << 20),
+    KEY("max_steps", max_steps, 0, kSteps),
+    KEY("checkpoint_interval_steps", checkpoint_interval_steps, 0, kSteps),
+    KEY("checkpoint_max_retries", checkpoint_max_retries, 0, 1 << 20),
+    KEY("max_launch_attempts", resilience.max_launch_attempts, 1, 1 << 20),
+    KEY("backoff_base_seconds", resilience.backoff_base_seconds, 0, kHuge),
+    KEY("backoff_multiplier", resilience.backoff_multiplier, 1, kHuge),
+    KEY("backoff_max_seconds", resilience.backoff_max_seconds, 0, kHuge),
+    KEY("backoff_jitter", resilience.backoff_jitter, 0, 1),
+    KEY("stockouts_before_fallback", resilience.stockouts_before_fallback, 1,
+        1 << 20),
+    KEY("utc_start_hour", utc_start_hour, 0, std::nextafter(24.0, 0.0)),
+    KEY("horizon_hours", horizon_hours, 0, kHuge),
+    KEY("launch_error_rate", faults.launch_error_rate, 0, 1),
+    KEY("upload_error_rate", faults.upload_error_rate, 0, 1),
+    KEY("upload_slowdown_rate", faults.upload_slowdown_rate, 0, 1),
+    KEY("upload_slowdown_factor", faults.upload_slowdown_factor, 1, kHuge),
+    KEY("restore_error_rate", faults.restore_error_rate, 0, 1),
+    KEY("abrupt_kill_rate", faults.abrupt_kill_rate, 0, 1),
+    KEY("ckpt.delta_ratio", ckpt.delta_ratio, 1e-9, 1),
+    KEY("ckpt.max_delta_chain", ckpt.max_delta_chain, 1, 1 << 20),
+    KEY("ckpt.max_generations", ckpt.max_generations, 1, 1 << 20),
+    KEY("ckpt.bit_rot_rate", faults.bit_rot_rate, 0, 1),
+    KEY("ckpt.torn_write_rate", faults.torn_write_rate, 0, 1),
+    KEY("store.tier.local.latency_s", store_tiers.local.latency_s, 0, kHuge),
+    KEY("store.tier.local.bandwidth_gbps", store_tiers.local.bandwidth_gbps,
+        1e-9, kHuge),
+    KEY("store.tier.local.usd_per_gb", store_tiers.local.usd_per_gb, 0,
+        kHuge),
+    KEY("store.tier.regional.latency_s", store_tiers.regional.latency_s, 0,
+        kHuge),
+    KEY("store.tier.regional.bandwidth_gbps",
+        store_tiers.regional.bandwidth_gbps, 1e-9, kHuge),
+    KEY("store.tier.regional.usd_per_gb", store_tiers.regional.usd_per_gb, 0,
+        kHuge),
+    KEY("store.tier.cold.latency_s", store_tiers.cold.latency_s, 0, kHuge),
+    KEY("store.tier.cold.bandwidth_gbps", store_tiers.cold.bandwidth_gbps,
+        1e-9, kHuge),
+    KEY("store.tier.cold.usd_per_gb", store_tiers.cold.usd_per_gb, 0, kHuge),
+    KEY("fleet.tenants", fleet.tenants, 1, 1 << 16),
+    KEY("fleet.demand", fleet.demand, 1e-9, 64),
+    KEY("fleet.workers_per_tenant", fleet.workers_per_tenant, 1, 1024),
+    KEY("fleet.min_steps", fleet.min_steps, 1, kSteps),
+    KEY("fleet.max_steps", fleet.max_steps, 1, kSteps),
+    KEY("fleet.checkpoint_interval_steps", fleet.checkpoint_interval_steps,
+        0, kSteps),
+    KEY("fleet.checkpoint_seconds", fleet.checkpoint_seconds, 0, kHuge),
+    KEY("fleet.restore_seconds", fleet.restore_seconds, 0, kHuge),
+    KEY("fleet.deadline_hours", fleet.deadline_hours, 1e-9, kHuge),
+    KEY("fleet.capacity_per_pool", fleet.capacity_per_pool, 1, 1 << 20),
+    KEY("fleet.price_sensitivity", fleet.price_sensitivity, 0, 1000),
+    KEY("fleet.price_exponent", fleet.price_exponent, 0, 64),
+    KEY("fleet.capacity_dip", fleet.capacity_dip, 0, 1),
+    KEY("fleet.bid_spread", fleet.bid_spread, 0, kHuge),
+    KEY("fleet.market_period_s", fleet.market_period_s, 1e-9, kHuge),
+    KEY("fleet.migrate_period_s", fleet.migrate_period_s, 0, kHuge),
+    KEY("fleet.migrate_gain", fleet.migrate_gain, 0, 1),
+    KEY("supervise.heartbeat_period_s", supervision.heartbeat.period_s, 1e-9,
+        kHuge),
+    KEY("supervise.heartbeat_timeout_s", supervision.heartbeat.timeout_s,
+        1e-9, kHuge),
+    KEY("supervise.heartbeat_jitter", supervision.heartbeat.jitter, 0, 1),
+    KEY("supervise.phi_threshold", supervision.heartbeat.phi_threshold, 0,
+        kHuge),
+    KEY("supervise.sweep_period_s", supervision.heartbeat.sweep_period_s, 0,
+        kHuge),
+    KEY("supervise.hazard_halflife_hours", supervision.hazard.halflife_hours,
+        1e-9, kHuge),
+    KEY("supervise.hazard_prior_weight_hours",
+        supervision.hazard.prior_weight_hours, 0, kHuge),
+    KEY("supervise.score_halflife_hours",
+        supervision.hazard.score_halflife_hours, 1e-9, kHuge),
+    KEY("supervise.retune_period_s", supervision.checkpoint.retune_period_s,
+        0, kHuge),
+    KEY("supervise.retune_hysteresis", supervision.checkpoint.hysteresis, 0,
+        1),
+    KEY("supervise.min_interval_steps",
+        supervision.checkpoint.min_interval_steps, 1, kSteps),
+    KEY("supervise.elastic.min_workers", supervision.elastic.min_workers, 1,
+        1 << 20),
+    KEY("supervise.elastic.breaker_failures",
+        supervision.elastic.breaker.open_after_failures, 1, 1 << 20),
+    KEY("supervise.elastic.breaker_backoff_s",
+        supervision.elastic.breaker.backoff_s, 1e-9, kHuge),
+    KEY("supervise.elastic.breaker_backoff_multiplier",
+        supervision.elastic.breaker.backoff_multiplier, 1, kHuge),
+    KEY("supervise.elastic.breaker_max_backoff_s",
+        supervision.elastic.breaker.max_backoff_s, 1e-9, kHuge),
+    KEY("supervise.elastic.grow_hysteresis_s",
+        supervision.elastic.grow_hysteresis_s, 0, kHuge),
+    KEY("supervise.elastic.futility_threshold",
+        supervision.elastic.futility_threshold, 0, kHuge),
+    KEY("supervise.elastic.deadline_hours",
+        supervision.elastic.deadline_hours, 0, kHuge),
+};
+
+#undef KEY
+
+TEST(ScenarioSpec, ValidMeansRoundTripsAtEveryNumericBound) {
+  // The probes cover every numeric key serialize() emits (seed aside).
+  std::size_t numeric_lines = 0;
+  for (const std::string& line : util::split(serialize(ScenarioSpec{}), '\n')) {
+    const std::size_t eq = line.find(" = ");
+    if (eq == std::string::npos) continue;
+    double ignored = 0.0;
+    if (util::parse_number(line.substr(eq + 3), &ignored)) ++numeric_lines;
+  }
+  EXPECT_EQ(numeric_lines, std::size(kNumericKeys) + 1);  // + seed
+
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const NumericKey& key : kNumericKeys) {
+    const double probes[] = {key.min,
+                             key.max,
+                             std::nextafter(key.min, -kInf),
+                             std::nextafter(key.max, kInf),
+                             key.min - 1,
+                             key.max + 1,
+                             std::numeric_limits<double>::quiet_NaN()};
+    for (const double value : probes) {
+      ScenarioSpec spec = minimal_valid();
+      spec.horizon_hours = 1.0;  // so max_steps = 0 still terminates
+      if (!key.set(spec, value)) continue;
+      const bool in_range = value >= key.min && value <= key.max;
+      const ParseResult result = parse(serialize(spec));
+      EXPECT_EQ(validate(spec).empty(), in_range) << key.key << " = " << value;
+      EXPECT_EQ(result.ok(), in_range) << key.key << " = " << value;
+      if (result.ok()) {
+        EXPECT_EQ(result.spec, spec) << key.key;
+      }
+    }
+  }
 }
 
 TEST(ScenarioSpec, WorkerAndStockoutAppendForms) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "util/args.hpp"
@@ -48,6 +50,35 @@ TEST(Strings, StartsEndsWith) {
 TEST(Strings, FormatDouble) {
   EXPECT_EQ(format_double(3.14159, 2), "3.14");
   EXPECT_EQ(format_double(-1.0, 0), "-1");
+}
+
+TEST(Strings, ParseNumberRejectsAnythingButAWholeNumber) {
+  int value = 7;
+  EXPECT_FALSE(parse_number("12x", &value));
+  EXPECT_FALSE(parse_number("", &value));
+  EXPECT_FALSE(parse_number(" 12", &value));
+  EXPECT_FALSE(parse_number("+12", &value));
+  EXPECT_EQ(value, 7);  // a failed parse writes nothing
+  std::uint64_t seed = 3;
+  EXPECT_FALSE(parse_number("-1", &seed));
+  EXPECT_EQ(seed, 3u);
+  EXPECT_TRUE(parse_number("42", &value));
+  EXPECT_EQ(value, 42);
+  double real = 0.0;
+  EXPECT_TRUE(parse_number("-2.5e3", &real));
+  EXPECT_EQ(real, -2500.0);
+}
+
+TEST(Strings, FormatShortestRoundTripsExactly) {
+  EXPECT_EQ(format_shortest(0.1), "0.1");
+  EXPECT_EQ(format_shortest(-0.0), "-0");
+  EXPECT_EQ(format_shortest(3.0), "3");
+  for (const double value : {0.1, 1e-300, -0.0, 1.0 / 3.0, 5e-324}) {
+    double parsed = 1.0;
+    ASSERT_TRUE(parse_number(format_shortest(value), &parsed)) << value;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed),
+              std::bit_cast<std::uint64_t>(value));
+  }
 }
 
 TEST(Strings, FormatBytes) {
