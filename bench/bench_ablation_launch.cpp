@@ -12,7 +12,6 @@
 
 #include "scenario/catalog.hpp"
 #include "cmdare/planner.hpp"
-#include "exp/campaign.hpp"
 
 using namespace cmdare;
 
@@ -26,20 +25,19 @@ int jobs_from_env() {
 double sampled_revocation_fraction(cloud::Region region, cloud::GpuType gpu,
                                    int hour, double duration_hours,
                                    double* wall_seconds) {
-  exp::CampaignSpec spec;
-  spec.name = "launch-validate";
-  spec.seed = 1000;
-  spec.replicas = 60;  // x 50 samples = 3000 outcomes per plan
-  spec.regions = {region};
-  spec.gpus = {gpu};
-  spec.launch_hours = {hour};
-  spec.params["duration_hours"] = duration_hours;
-  spec.params["samples_per_replica"] = 50.0;
+  // One cell of the catalog's launch grid: the replica reads the region,
+  // GPU and launch hour factors from the cell.
+  scenario::ScenarioSweep sweep = scenario::sweep_by_name("launch").sweep;
+  sweep.replicas = 60;  // x 50 samples = 3000 outcomes per plan
+  sweep.axes = {{"region", {cloud::region_name(region)}},
+                {"gpu", {cloud::gpu_name(gpu)}},
+                {"launch_hour", {std::to_string(hour)}}};
 
   exp::RunOptions options;
   options.jobs = jobs_from_env();
-  const exp::CampaignResult result =
-      exp::run_campaign(spec, scenario::launch_replica, options);
+  const scenario::ScenarioCampaignResult result =
+      scenario::run_scenario_campaign(
+          sweep, options, scenario::launch_replica(duration_hours, 50));
   *wall_seconds += result.wall_seconds;
   return result.aggregates.front().metrics.at("revoked_in_job").running.mean();
 }

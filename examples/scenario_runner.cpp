@@ -1,28 +1,38 @@
-// scenario_runner: load a declarative scenario file and run it.
+// scenario_runner: run a named campaign from the catalog, or load a
+// declarative scenario file and run it.
 //
+//   scenario_runner --list
+//   scenario_runner lifetime --jobs 4 --csv lifetime.csv
+//   scenario_runner speed --replicas 64 --seed 7
 //   scenario_runner scenarios/resilience.scn
 //   scenario_runner scenarios/quickstart.scn --set max_steps=5000
-//   scenario_runner scenarios/resilience.scn --sweep fault_rate=0,0.1,0.2 \
+//   scenario_runner scenarios/resilience.scn --sweep fault_rate=0,0.1,0.2
 //       --replicas 8 --jobs 4 --csv degradation.csv
 //   scenario_runner scenarios/quickstart.scn --print   # canonical form
 //   scenario_runner scenarios/resilience.scn --ledger run.jsonl --report
 //   scenario_runner scenarios/supervise.scn --metrics supervise.
 //
-// A plain run wires the spec through SimHarness and prints the result
-// table. With --sweep axes it becomes a Monte-Carlo campaign on the
-// parallel engine (deterministic CSV at any --jobs value).
+// A named campaign (see --list) is a Monte-Carlo sweep on the parallel
+// engine; --replicas and --seed override the catalog's defaults. A .scn
+// file runs once through SimHarness and prints the result table; --set
+// overrides a field, and --sweep axes turn it into a campaign. Campaign
+// CSVs are deterministic for a given (sweep, seed) at any --jobs value;
+// wall-clock and the progress line are the only things that change with
+// thread count. --set/--sweep/--print apply to .scn files only.
 //
-// Observability flags (both modes; they force telemetry on):
+// Long campaigns are crash-resumable: `--journal PATH` appends every
+// completed replica to PATH (flushed, so a kill loses at most one torn
+// trailing line), and re-running with `--resume` replays the journaled
+// replicas and executes only the rest — the final CSV is byte-identical
+// to an uninterrupted run at any --jobs.
+//
+// Observability flags (all modes; they force telemetry on):
 //   --ledger PATH   write the run ledger (merged across replicas for a
-//                   sweep) as JSONL to PATH
+//                   campaign) as JSONL to PATH
 //   --report        fold the ledger through obs::analyze and print the
 //                   recovery-timeline / cost-decomposition report
 //   --metrics PFX   print registry series whose name starts with PFX as
 //                   CSV (kind,name,labels,field,value)
-//
-// Discovery:
-//   --list          print the named-campaign catalog plus every checked-in
-//                   scenarios/*.scn file with a one-line description
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
@@ -92,20 +102,16 @@ std::string scn_description(const std::filesystem::path& path) {
   return "";
 }
 
-/// `--list`: the named campaign/sweep catalog, then every checked-in
+/// `--list`: the named campaign catalog, then every checked-in
 /// scenarios/*.scn (searched relative to the working directory).
 int print_catalog_listing() {
   util::Table campaigns({"campaign", "cells", "replicas", "description"});
-  for (const scenario::NamedCampaign& c : scenario::named_campaigns()) {
-    campaigns.add_row({c.name, std::to_string(exp::cell_count(c.spec)),
-                       std::to_string(c.spec.replicas), c.description});
-  }
   for (const scenario::NamedScenarioSweep& s : scenario::named_sweeps()) {
     campaigns.add_row({s.name,
                        std::to_string(scenario::expand(s.sweep).size()),
                        std::to_string(s.sweep.replicas), s.description});
   }
-  campaigns.set_title("Named campaigns (run with cmdare_campaign <name>):");
+  campaigns.set_title("Named campaigns (run with scenario_runner <name>):");
   campaigns.render(std::cout);
 
   const std::filesystem::path dir = "scenarios";
@@ -131,47 +137,137 @@ int print_catalog_listing() {
   return 0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  std::string path;
-  std::vector<std::string> sets;
-  std::vector<std::string> sweeps;
-  int replicas = 1;
+/// The flags that shape a campaign run and its outputs.
+struct CampaignFlags {
   int jobs = 0;
-  std::string seed_text;
+  bool quiet = false;
   std::string csv_path;
+  std::string journal_path;
+  bool resume = false;
   std::string ledger_path;
   bool report = false;
   std::string metrics_prefix;
+
+  bool wants_obs() const {
+    return !ledger_path.empty() || report || !metrics_prefix.empty();
+  }
+};
+
+/// Runs `sweep` on the parallel engine, prints the summary table, and
+/// writes the requested CSV / observability artifacts.
+int run_sweep(const scenario::ScenarioSweep& sweep,
+              const scenario::ScenarioReplicaFn& replica,
+              const CampaignFlags& flags) {
+  exp::RunOptions options;
+  options.jobs = flags.jobs;
+  options.capture_telemetry = flags.wants_obs();
+  options.journal_path = flags.journal_path;
+  options.resume = flags.resume;
+  if (!flags.quiet) {
+    options.on_progress = [](const exp::Progress& p) {
+      // Serialized by the engine; one carriage-return line.
+      if (p.replicas_done % 16 == 0 || p.replicas_done == p.replicas_total) {
+        std::fprintf(stderr, "\r%zu/%zu replicas (%zu/%zu cells, %zu failed)",
+                     p.replicas_done, p.replicas_total, p.cells_done,
+                     p.cells_total, p.replicas_failed);
+        if (p.replicas_done == p.replicas_total) std::fprintf(stderr, "\n");
+      }
+    };
+  }
+
+  scenario::ScenarioCampaignResult result;
+  try {
+    result = scenario::run_scenario_campaign(sweep, options, replica);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 1;
+  }
+
+  util::Table table = result.summary_table();
+  table.set_title("Campaign \"" + sweep.name + "\" (seed " +
+                  std::to_string(sweep.seed) + ", " +
+                  std::to_string(sweep.replicas) + " replicas/cell):");
+  table.render(std::cout);
+  std::printf("\n%zu replicas over %zu cells in %s on %d thread(s)",
+              result.progress.replicas_total, result.cells.size(),
+              util::format_duration(result.wall_seconds).c_str(),
+              result.jobs_used);
+  if (result.progress.replicas_failed > 0) {
+    std::printf(" — %zu FAILED", result.progress.replicas_failed);
+  }
+  std::printf("\n");
+  if (!flags.csv_path.empty()) {
+    std::ofstream out(flags.csv_path);
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write %s\n", flags.csv_path.c_str());
+      return 1;
+    }
+    result.write_csv(out);
+    std::printf("aggregates written to %s\n", flags.csv_path.c_str());
+  }
+  if (flags.wants_obs()) {
+    return emit_observability(result.telemetry.get(), flags.ledger_path,
+                              flags.report, flags.metrics_prefix);
+  }
+  return 0;
+}
+
+const scenario::NamedScenarioSweep* find_named(const std::string& name) {
+  for (const scenario::NamedScenarioSweep& s : scenario::named_sweeps()) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  std::string target;
+  std::vector<std::string> sets;
+  std::vector<std::string> sweeps;
+  std::string replicas_text;
+  std::string seed_text;
   bool print_only = false;
-  bool quiet = false;
   bool list = false;
+  CampaignFlags flags;
 
   util::ArgParser args("scenario_runner",
-                       "Run a declarative scenario (.scn) file.");
-  args.add_positional("spec.scn", "scenario file to run", &path,
-                      /*required=*/false);
-  args.add_repeated("set", "key=value", "override one spec field", &sets);
+                       "Run a named campaign or a declarative scenario (.scn) "
+                       "file.");
+  args.add_positional("name|spec.scn",
+                      "named campaign (see --list) or scenario file to run",
+                      &target, /*required=*/false);
+  args.add_repeated("set", "key=value", "override one spec field (.scn only)",
+                    &sets);
   args.add_repeated("sweep", "key=v1,v2,...",
-                    "sweep a spec field (turns the run into a campaign)",
+                    "sweep a spec field, turning the run into a campaign "
+                    "(.scn only)",
                     &sweeps);
-  args.add_int("replicas", "N", "campaign replicas per cell (default 1)",
-               &replicas);
+  args.add_value("replicas", "N",
+                 "campaign replicas per cell (default: the campaign's; 1 "
+                 "for --sweep)",
+                 &replicas_text);
   args.add_int("jobs", "N", "campaign worker threads (default: hardware)",
-               &jobs);
-  args.add_value("seed", "S", "override the spec's seed", &seed_text);
+               &flags.jobs);
+  args.add_value("seed", "S", "override the seed", &seed_text);
   args.add_value("csv", "PATH", "write campaign aggregates to PATH",
-                 &csv_path);
+                 &flags.csv_path);
+  args.add_value("journal", "PATH",
+                 "append every completed campaign replica to PATH (crash "
+                 "journal)",
+                 &flags.journal_path);
+  args.add_flag("resume",
+                "replay the --journal file and run only the missing replicas",
+                &flags.resume);
   args.add_value("ledger", "PATH", "write the run ledger as JSONL to PATH",
-                 &ledger_path);
-  args.add_flag("report", "print the ledger analysis report", &report);
+                 &flags.ledger_path);
+  args.add_flag("report", "print the ledger analysis report", &flags.report);
   args.add_value("metrics", "PREFIX",
                  "print registry metrics matching PREFIX as CSV",
-                 &metrics_prefix);
-  args.add_flag("print", "print the canonical spec text and exit",
+                 &flags.metrics_prefix);
+  args.add_flag("print", "print the canonical spec text and exit (.scn only)",
                 &print_only);
-  args.add_flag("quiet", "suppress the campaign progress line", &quiet);
+  args.add_flag("quiet", "suppress the campaign progress line", &flags.quiet);
   args.add_flag("list",
                 "list named campaigns and checked-in scenario files, then exit",
                 &list);
@@ -187,15 +283,53 @@ int main(int argc, char** argv) {
     return 0;
   }
   if (list) return print_catalog_listing();
-  if (path.empty()) {
-    std::fprintf(stderr, "error: missing spec.scn (or pass --list)\n%s",
+  if (target.empty()) {
+    std::fprintf(stderr,
+                 "error: missing campaign name or spec.scn (or pass --list)\n"
+                 "%s",
                  args.help_text().c_str());
     return 1;
   }
+  int replicas = 0;  // 0 = the sweep's own count
+  if (!replicas_text.empty() &&
+      (!util::parse_number(replicas_text, &replicas) || replicas < 1)) {
+    std::fprintf(stderr, "error: --replicas wants an integer >= 1, got \"%s\"\n",
+                 replicas_text.c_str());
+    return 1;
+  }
+  if (flags.resume && flags.journal_path.empty()) {
+    std::fprintf(stderr, "error: --resume needs --journal PATH\n");
+    return 1;
+  }
 
-  std::ifstream in(path);
+  if (const scenario::NamedScenarioSweep* named = find_named(target)) {
+    // A catalog sweep's factor axes are not spec keys, so spec-level
+    // overrides and the canonical form would be ambiguous.
+    if (!sets.empty() || !sweeps.empty() || print_only) {
+      std::fprintf(stderr,
+                   "error: --set/--sweep/--print apply to .scn files, not to "
+                   "the named campaign \"%s\"\n",
+                   target.c_str());
+      return 1;
+    }
+    scenario::ScenarioSweep sweep = named->sweep;
+    if (replicas > 0) sweep.replicas = replicas;
+    if (!seed_text.empty()) {
+      if (auto err = scenario::set_field(sweep.base, "seed", seed_text)) {
+        std::fprintf(stderr, "error: --seed: %s\n", err->c_str());
+        return 1;
+      }
+      sweep.seed = sweep.base.seed;
+    }
+    return run_sweep(sweep, named->replica, flags);
+  }
+
+  std::ifstream in(target);
   if (!in) {
-    std::fprintf(stderr, "error: cannot read %s\n", path.c_str());
+    std::fprintf(stderr,
+                 "error: %s is neither a named campaign nor a readable file "
+                 "(see --list)\n",
+                 target.c_str());
     return 1;
   }
   std::ostringstream buffer;
@@ -205,10 +339,10 @@ int main(int argc, char** argv) {
   if (!parsed.ok()) {
     for (const scenario::Diagnostic& d : parsed.diagnostics) {
       if (d.line > 0) {
-        std::fprintf(stderr, "%s:%d: %s\n", path.c_str(), d.line,
+        std::fprintf(stderr, "%s:%d: %s\n", target.c_str(), d.line,
                      d.message.c_str());
       } else {
-        std::fprintf(stderr, "%s: %s\n", path.c_str(), d.message.c_str());
+        std::fprintf(stderr, "%s: %s\n", target.c_str(), d.message.c_str());
       }
     }
     return 1;
@@ -240,15 +374,13 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  const bool wants_obs =
-      !ledger_path.empty() || report || !metrics_prefix.empty();
-  if (wants_obs) spec.telemetry = true;
+  if (flags.wants_obs()) spec.telemetry = true;
 
   if (!sweeps.empty()) {
     scenario::ScenarioSweep sweep;
     sweep.name = spec.name;
     sweep.base = spec;
-    sweep.replicas = replicas < 1 ? 1 : replicas;
+    if (replicas > 0) sweep.replicas = replicas;
     sweep.seed = spec.seed;
     for (const std::string& axis_text : sweeps) {
       const std::size_t eq = axis_text.find('=');
@@ -263,52 +395,13 @@ int main(int argc, char** argv) {
       axis.values = util::split(axis_text.substr(eq + 1), ',');
       sweep.axes.push_back(std::move(axis));
     }
-
-    exp::RunOptions options;
-    options.jobs = jobs;
-    options.capture_telemetry = wants_obs;
-    if (!quiet) {
-      options.on_progress = [](const exp::Progress& p) {
-        if (p.replicas_done % 16 == 0 || p.replicas_done == p.replicas_total) {
-          std::fprintf(stderr, "\r%zu/%zu replicas (%zu failed)",
-                       p.replicas_done, p.replicas_total, p.replicas_failed);
-          if (p.replicas_done == p.replicas_total) std::fprintf(stderr, "\n");
-        }
-      };
-    }
-
-    scenario::ScenarioCampaignResult result;
-    try {
-      result = scenario::run_scenario_campaign(sweep, options);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 1;
-    }
-
-    util::Table table = result.summary_table();
-    table.set_title("Scenario campaign \"" + sweep.name + "\" (seed " +
-                    std::to_string(sweep.seed) + ", " +
-                    std::to_string(sweep.replicas) + " replicas/cell):");
-    table.render(std::cout);
-    std::printf("\n%zu replicas over %zu cells in %s on %d thread(s)\n",
-                result.progress.replicas_total, result.cells.size(),
-                util::format_duration(result.wall_seconds).c_str(),
-                result.jobs_used);
-    if (!csv_path.empty()) {
-      std::ofstream out(csv_path);
-      if (!out) {
-        std::fprintf(stderr, "error: cannot write %s\n", csv_path.c_str());
-        return 1;
-      }
-      result.write_csv(out);
-      std::printf("aggregates written to %s\n", csv_path.c_str());
-    }
-    if (wants_obs) {
-      const int rc = emit_observability(result.telemetry.get(), ledger_path,
-                                        report, metrics_prefix);
-      if (rc != 0) return rc;
-    }
-    return 0;
+    return run_sweep(sweep, {}, flags);
+  }
+  if (!flags.journal_path.empty()) {
+    std::fprintf(stderr,
+                 "error: --journal needs a campaign (a named campaign or "
+                 "--sweep)\n");
+    return 1;
   }
 
   try {
@@ -319,9 +412,9 @@ int main(int argc, char** argv) {
                     scenario::harness_kind_name(spec.kind) + ", seed " +
                     std::to_string(spec.seed) + "):");
     table.render(std::cout);
-    if (wants_obs) {
-      const int rc = emit_observability(harness.telemetry(), ledger_path,
-                                        report, metrics_prefix);
+    if (flags.wants_obs()) {
+      const int rc = emit_observability(harness.telemetry(), flags.ledger_path,
+                                        flags.report, flags.metrics_prefix);
       if (rc != 0) return rc;
     }
     return result.finished ? 0 : 1;

@@ -2,9 +2,10 @@
 # CI entry point: tier-1 (full build + full ctest), the fault/supervise/
 # obs/fleet/simcore/exp/ckpt/ml/scenario label suites rebuilt under
 # AddressSanitizer, and the concurrency-heavy tests (obs, campaign engine,
-# journal resume, scenario sweeps, the first build of the shared model zoo
-# and revocation calibration on pool threads, supervised sweeps, fleet
-# campaigns) under ThreadSanitizer. The simcore label rides along in the
+# journal resume, scenario sweeps and the catalog campaigns they run at
+# --jobs 4, the first build of the shared model zoo and revocation
+# calibration on pool threads, supervised sweeps, fleet campaigns) under
+# ThreadSanitizer. The simcore label rides along in the
 # ASan/UBSan stages because the event engine hands out arena slots with
 # generation-checked handles — lifetime bugs there are exactly what the
 # sanitizers exist to catch. The ml label (SVR penalty path and grid
@@ -76,7 +77,7 @@ if $run_tsan; then
     -DCMDARE_SANITIZE=thread
   cmake --build build-tsan -j "$jobs"
   ctest --test-dir build-tsan --output-on-failure -j "$jobs" \
-    -R '^(ObsConcurrency|ThreadPool|Campaign|CampaignSpec|CampaignJournal|ScenarioCampaign|SharedCalibration|HeartbeatDetector|HazardEstimator|AdaptiveCheckpointController|SupervisedRun|DetectionCampaign|FleetCampaign|StormCampaign)\.'
+    -R '^(ObsConcurrency|ThreadPool|Campaign|CampaignJournal|ScenarioCampaign|ScenarioCatalog|ResilienceCampaign|SharedCalibration|HeartbeatDetector|HazardEstimator|AdaptiveCheckpointController|SupervisedRun|DetectionCampaign|FleetCampaign|StormCampaign)\.'
 fi
 
 if $run_ubsan; then

@@ -1,69 +1,124 @@
 #include "scenario/catalog.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "cloud/revocation.hpp"
 #include "scenario/harness.hpp"
 #include "stats/descriptive.hpp"
+#include "util/strings.hpp"
 
 namespace cmdare::scenario {
 
-exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context) {
-  exp::ReplicaResult result;
-  const exp::CellSpec& cell = context.cell;
-  if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
-  const int samples =
-      static_cast<int>(context.spec.param("samples_per_replica", 50.0));
+namespace {
+
+/// The paper's measurement grids share six axes, in a CSV column order
+/// the catalog goldens pin: region, gpu, model, cluster_size,
+/// launch_hour, fault_rate. `model` and `fault_rate` are spec keys; these
+/// four are factors the replica reads from the cell (values spelled as
+/// the CSV prints them: "us-central1", "K80", "4", "9").
+const std::vector<std::string> kGridFactors = {"region", "gpu", "cluster_size",
+                                               "launch_hour"};
+
+std::vector<std::string> all_region_names() {
+  std::vector<std::string> names;
+  for (const cloud::Region region : cloud::kAllRegions) {
+    names.emplace_back(cloud::region_name(region));
+  }
+  return names;
+}
+
+std::vector<std::string> all_gpu_names() {
+  std::vector<std::string> names;
+  for (const cloud::GpuType gpu : cloud::kAllGpuTypes) {
+    names.emplace_back(cloud::gpu_name(gpu));
+  }
+  return names;
+}
+
+int int_setting(const ScenarioCell& cell, std::string_view key) {
+  int value = 0;
+  if (!util::parse_number(cell.setting(key), &value)) {
+    throw std::invalid_argument("cell " + std::to_string(cell.index) + ": " +
+                                std::string(key) + " = \"" +
+                                cell.setting(key) + "\" is not an integer");
+  }
+  return value;
+}
+
+cloud::Region cell_region(const ScenarioCell& cell) {
+  return cloud::region_from_name(cell.setting("region"));
+}
+
+cloud::GpuType cell_gpu(const ScenarioCell& cell) {
+  return cloud::gpu_from_name(cell.setting("gpu"));
+}
+
+/// The cell's spec with its one worker group built from the factors:
+/// cluster_size transient GPUs of the cell's type in the cell's region.
+ScenarioSpec with_cell_workers(const ScenarioCell& cell) {
+  ScenarioSpec spec = cell.spec;
+  spec.workers = {{int_setting(cell, "cluster_size"), cell_gpu(cell),
+                   cell_region(cell), true}};
+  return spec;
+}
+
+/// Draws `samples` revocation ages for the cell's (region, GPU, launch
+/// hour) and hands each (nullopt = survived the 24 h cap) to `observe`.
+/// Pairs the paper did not measure draw nothing.
+template <typename Observe>
+void sample_revocation_ages(const ScenarioCell& cell, int samples,
+                            util::Rng& rng, Observe observe) {
+  const cloud::Region region = cell_region(cell);
+  const cloud::GpuType gpu = cell_gpu(cell);
+  if (!cloud::gpu_offered_in_region(region, gpu)) return;
+  const double hour = int_setting(cell, "launch_hour");
   const cloud::RevocationModel& hazard = cloud::RevocationModel::calibrated();
   for (int i = 0; i < samples; ++i) {
-    const auto age = hazard.sample_revocation_age_seconds(
-        cell.region, cell.gpu, static_cast<double>(cell.launch_hour),
-        context.rng);
-    const double hours =
-        age.value_or(cloud::kMaxTransientLifetimeSeconds) / 3600.0;
-    result.observe("lifetime_h", hours);
-    result.observe("revoked", age ? 1.0 : 0.0);
+    observe(hazard.sample_revocation_age_seconds(region, gpu, hour, rng));
   }
-  return result;
 }
 
-exp::ReplicaResult launch_replica(exp::ReplicaContext& context) {
-  exp::ReplicaResult result;
-  const exp::CellSpec& cell = context.cell;
-  if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
-  const double duration_h = context.spec.param("duration_hours", 8.0);
-  const int samples =
-      static_cast<int>(context.spec.param("samples_per_replica", 50.0));
-  const cloud::RevocationModel& hazard = cloud::RevocationModel::calibrated();
-  for (int i = 0; i < samples; ++i) {
-    const auto age = hazard.sample_revocation_age_seconds(
-        cell.region, cell.gpu, static_cast<double>(cell.launch_hour),
-        context.rng);
-    result.observe("revoked_in_job",
-                   age && *age <= duration_h * 3600.0 ? 1.0 : 0.0);
-  }
-  return result;
+}  // namespace
+
+ScenarioReplicaFn lifetime_replica(int samples_per_replica) {
+  return [samples_per_replica](const ScenarioCell& cell, int /*replica*/,
+                               util::Rng& rng, obs::Telemetry* /*telemetry*/) {
+    exp::ReplicaResult result;
+    sample_revocation_ages(
+        cell, samples_per_replica, rng, [&](std::optional<double> age) {
+          const double hours =
+              age.value_or(cloud::kMaxTransientLifetimeSeconds) / 3600.0;
+          result.observe("lifetime_h", hours);
+          result.observe("revoked", age ? 1.0 : 0.0);
+        });
+    return result;
+  };
 }
 
-ScenarioSpec speed_scenario(const exp::CampaignSpec& spec,
-                            const exp::CellSpec& cell) {
-  ScenarioSpec scenario;
-  scenario.name = spec.name + "/" + cell.label();
-  scenario.kind = HarnessKind::kSession;
-  scenario.seed = spec.seed;
-  scenario.model = cell.model;
-  scenario.workers = {{cell.cluster_size, cell.gpu, cell.region, true}};
-  scenario.max_steps = static_cast<long>(spec.param("steps", 800.0));
-  return scenario;
+ScenarioReplicaFn launch_replica(double duration_hours,
+                                 int samples_per_replica) {
+  return [duration_hours, samples_per_replica](
+             const ScenarioCell& cell, int /*replica*/, util::Rng& rng,
+             obs::Telemetry* /*telemetry*/) {
+    exp::ReplicaResult result;
+    sample_revocation_ages(
+        cell, samples_per_replica, rng, [&](std::optional<double> age) {
+          result.observe("revoked_in_job",
+                         age && *age <= duration_hours * 3600.0 ? 1.0 : 0.0);
+        });
+    return result;
+  };
 }
 
-exp::ReplicaResult speed_replica(exp::ReplicaContext& context) {
-  const ScenarioSpec scenario = speed_scenario(context.spec, context.cell);
-  const long steps = scenario.max_steps;
+exp::ReplicaResult speed_replica(const ScenarioCell& cell, int /*replica*/,
+                                 util::Rng& rng,
+                                 obs::Telemetry* /*telemetry*/) {
+  const long steps = cell.spec.max_steps;
   const long discard = std::min<long>(100, steps / 4);
 
-  SimHarness harness(scenario, context.rng);
+  SimHarness harness(with_cell_workers(cell), rng);
   harness.run();
   const train::TrainingSession& session = *harness.session();
 
@@ -76,41 +131,29 @@ exp::ReplicaResult speed_replica(exp::ReplicaContext& context) {
   return result;
 }
 
-ScenarioSpec resilience_scenario(const exp::CampaignSpec& spec,
-                                 const exp::CellSpec& cell) {
-  ScenarioSpec scenario;
-  scenario.name = spec.name + "/" + cell.label();
-  scenario.kind = HarnessKind::kRun;
-  scenario.seed = spec.seed;
-  scenario.model = cell.model;
-  scenario.workers = {{cell.cluster_size, cell.gpu, cell.region, true}};
-  scenario.max_steps = static_cast<long>(spec.param("steps", 400.0));
-  scenario.checkpoint_interval_steps =
-      static_cast<long>(spec.param("checkpoint_interval_steps", 100.0));
-  scenario.horizon_hours = spec.param("horizon_hours", 48.0);
-
-  // The adversarial cloud: uniform fault rates across every injection
-  // site plus one early capacity stockout for the cell's (region, GPU),
-  // long enough that backoff alone cannot wait it out
-  // (stockouts_before_fallback retries reach the ladder first).
-  scenario.faults = faults::FaultPlan::uniform(cell.fault_rate);
-  if (cell.fault_rate > 0.0) {
-    faults::StockoutWindow window;
-    window.region = cell.region;
-    window.gpu = cell.gpu;
-    window.start_s = spec.param("stockout_start_s", 300.0);
-    window.end_s = window.start_s + spec.param("stockout_seconds", 1800.0);
-    scenario.faults.stockouts.push_back(window);
-  }
-  return scenario;
-}
-
-exp::ReplicaResult resilience_replica(exp::ReplicaContext& context) {
+exp::ReplicaResult resilience_replica(const ScenarioCell& cell,
+                                      int /*replica*/, util::Rng& rng,
+                                      obs::Telemetry* /*telemetry*/) {
   exp::ReplicaResult result;
-  const exp::CellSpec& cell = context.cell;
-  if (!cloud::gpu_offered_in_region(cell.region, cell.gpu)) return result;
+  ScenarioSpec spec = with_cell_workers(cell);
+  const WorkerGroup group = spec.workers.front();
+  if (!cloud::gpu_offered_in_region(group.region, group.gpu)) return result;
 
-  SimHarness harness(resilience_scenario(context.spec, cell), context.rng);
+  // The adversarial cloud: the fault_rate axis sets one uniform rate
+  // across every injection site; a faulty cell also gets one early
+  // capacity stockout for its (region, GPU), long enough that backoff
+  // alone cannot wait it out (stockouts_before_fallback retries reach the
+  // ladder first).
+  if (spec.faults.launch_error_rate > 0.0) {
+    faults::StockoutWindow window;
+    window.region = group.region;
+    window.gpu = group.gpu;
+    window.start_s = 300.0;
+    window.end_s = window.start_s + 1800.0;
+    spec.faults.stockouts.push_back(window);
+  }
+
+  SimHarness harness(std::move(spec), rng);
   const ScenarioResult outcome = harness.run();
 
   result.observe("completed", outcome.finished ? 1.0 : 0.0);
@@ -392,104 +435,124 @@ exp::ReplicaResult ckpt_replica(const ScenarioCell& cell, int /*replica*/,
   return result;
 }
 
-const std::vector<NamedCampaign>& named_campaigns() {
-  static const std::vector<NamedCampaign> campaigns = [] {
-    std::vector<NamedCampaign> list;
-
-    {
-      NamedCampaign c;
-      c.name = "lifetime";
-      c.description =
-          "Fig. 8 / Table V: transient lifetimes and 24 h revocation "
-          "fractions over every measured (region, GPU) pair";
-      c.spec.name = c.name;
-      c.spec.seed = 8;
-      c.spec.replicas = 64;
-      c.spec.regions.assign(cloud::kAllRegions.begin(),
-                            cloud::kAllRegions.end());
-      c.spec.gpus.assign(cloud::kAllGpuTypes.begin(),
-                         cloud::kAllGpuTypes.end());
-      c.spec.launch_hours = {
-          static_cast<int>(cloud::kReferenceLaunchLocalHour)};
-      c.spec.params["samples_per_replica"] = 50.0;
-      c.replica = lifetime_replica;
-      list.push_back(std::move(c));
-    }
-
-    {
-      NamedCampaign c;
-      c.name = "launch";
-      c.description =
-          "Section V-C ablation grid: P(revoked within an 8 h job) over "
-          "(region, GPU, local launch hour)";
-      c.spec.name = c.name;
-      c.spec.seed = 1000;
-      c.spec.replicas = 64;
-      c.spec.regions.assign(cloud::kAllRegions.begin(),
-                            cloud::kAllRegions.end());
-      c.spec.gpus.assign(cloud::kAllGpuTypes.begin(),
-                         cloud::kAllGpuTypes.end());
-      c.spec.launch_hours = {0, 4, 8, 12, 16, 20};
-      c.spec.params["duration_hours"] = 8.0;
-      c.spec.params["samples_per_replica"] = 25.0;
-      c.replica = launch_replica;
-      list.push_back(std::move(c));
-    }
-
-    {
-      NamedCampaign c;
-      c.name = "speed";
-      c.description =
-          "Tables I/III: training speed distributions per (GPU, cluster "
-          "size) for ResNet-15/32, one PS";
-      c.spec.name = c.name;
-      c.spec.seed = 42;
-      c.spec.replicas = 16;
-      c.spec.gpus.assign(cloud::kAllGpuTypes.begin(),
-                         cloud::kAllGpuTypes.end());
-      c.spec.models = {"resnet-15", "resnet-32"};
-      c.spec.cluster_sizes = {1, 4};
-      c.spec.params["steps"] = 800.0;
-      c.replica = speed_replica;
-      list.push_back(std::move(c));
-    }
-
-    {
-      NamedCampaign c;
-      c.name = "resilience";
-      c.description =
-          "Degradation curves under injected cloud faults: completion "
-          "rate, makespan, cost and retry/fallback counts vs fault rate";
-      c.spec.name = c.name;
-      c.spec.seed = 77;
-      c.spec.replicas = 8;
-      c.spec.cluster_sizes = {2};
-      c.spec.fault_rates = {0.0, 0.05, 0.1, 0.2};
-      c.spec.params["steps"] = 400.0;
-      c.spec.params["checkpoint_interval_steps"] = 100.0;
-      c.replica = resilience_replica;
-      list.push_back(std::move(c));
-    }
-
-    return list;
-  }();
-  return campaigns;
-}
-
-const NamedCampaign& campaign_by_name(const std::string& name) {
-  for (const NamedCampaign& c : named_campaigns()) {
-    if (c.name == name) return c;
-  }
-  throw std::invalid_argument("campaign_by_name: unknown campaign " + name);
-}
-
 const std::vector<NamedScenarioSweep>& named_sweeps() {
   static const std::vector<NamedScenarioSweep> sweeps = [] {
     std::vector<NamedScenarioSweep> list;
 
+    // The hazard-sampling studies draw from the calibrated revocation
+    // model only: a cloud-kind base with no step budget.
+    ScenarioSpec hazard_base;
+    hazard_base.kind = HarnessKind::kCloud;
+    hazard_base.max_steps = 0;
+
+    {
+      NamedScenarioSweep s;
+      s.name = "lifetime";
+      s.description =
+          "Fig. 8 / Table V: transient lifetimes and 24 h revocation "
+          "fractions over every measured (region, GPU) pair";
+      s.sweep.name = s.name;
+      s.sweep.base = hazard_base;
+      s.sweep.axes = {
+          {"region", all_region_names()},
+          {"gpu", all_gpu_names()},
+          {"model", {"resnet-15"}},
+          {"cluster_size", {"1"}},
+          {"launch_hour",
+           {std::to_string(
+               static_cast<int>(cloud::kReferenceLaunchLocalHour))}},
+          {"fault_rate", {"0.00"}},
+      };
+      s.sweep.factors = kGridFactors;
+      s.sweep.replicas = 64;
+      s.sweep.seed = 8;
+      s.replica = lifetime_replica(50);
+      list.push_back(std::move(s));
+    }
+
+    {
+      NamedScenarioSweep s;
+      s.name = "launch";
+      s.description =
+          "Section V-C ablation grid: P(revoked within an 8 h job) over "
+          "(region, GPU, local launch hour)";
+      s.sweep.name = s.name;
+      s.sweep.base = hazard_base;
+      s.sweep.axes = {
+          {"region", all_region_names()},
+          {"gpu", all_gpu_names()},
+          {"model", {"resnet-15"}},
+          {"cluster_size", {"1"}},
+          {"launch_hour", {"0", "4", "8", "12", "16", "20"}},
+          {"fault_rate", {"0.00"}},
+      };
+      s.sweep.factors = kGridFactors;
+      s.sweep.replicas = 64;
+      s.sweep.seed = 1000;
+      s.replica = launch_replica(8.0, 25);
+      list.push_back(std::move(s));
+    }
+
+    {
+      NamedScenarioSweep s;
+      s.name = "speed";
+      s.description =
+          "Tables I/III: training speed distributions per (GPU, cluster "
+          "size) for ResNet-15/32, one PS";
+      s.sweep.name = s.name;
+      s.sweep.base.kind = HarnessKind::kSession;
+      s.sweep.base.max_steps = 800;
+      // Replaced per cell from the region/gpu/cluster_size factors.
+      s.sweep.base.workers = {
+          {1, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
+      s.sweep.axes = {
+          {"region", {"us-central1"}},
+          {"gpu", all_gpu_names()},
+          {"model", {"resnet-15", "resnet-32"}},
+          {"cluster_size", {"1", "4"}},
+          {"launch_hour", {"9"}},
+          {"fault_rate", {"0.00"}},
+      };
+      s.sweep.factors = kGridFactors;
+      s.sweep.replicas = 16;
+      s.sweep.seed = 42;
+      s.replica = speed_replica;
+      list.push_back(std::move(s));
+    }
+
+    {
+      NamedScenarioSweep s;
+      s.name = "resilience";
+      s.description =
+          "Degradation curves under injected cloud faults: completion "
+          "rate, makespan, cost and retry/fallback counts vs fault rate";
+      s.sweep.name = s.name;
+      s.sweep.base.kind = HarnessKind::kRun;
+      s.sweep.base.max_steps = 400;
+      s.sweep.base.checkpoint_interval_steps = 100;
+      s.sweep.base.horizon_hours = 48.0;
+      // Replaced per cell from the region/gpu/cluster_size factors.
+      s.sweep.base.workers = {
+          {2, cloud::GpuType::kK80, cloud::Region::kUsCentral1, true}};
+      s.sweep.axes = {
+          {"region", {"us-central1"}},
+          {"gpu", {"K80"}},
+          {"model", {"resnet-15"}},
+          {"cluster_size", {"2"}},
+          {"launch_hour", {"9"}},
+          {"fault_rate", {"0.00", "0.05", "0.10", "0.20"}},
+      };
+      s.sweep.factors = kGridFactors;
+      s.sweep.replicas = 8;
+      s.sweep.seed = 77;
+      s.replica = resilience_replica;
+      list.push_back(std::move(s));
+    }
+
     {
       NamedScenarioSweep s;
       s.name = "detection";
+
       s.description =
           "Supervision study: time-to-recovery and detection latency vs "
           "heartbeat timeout under notice-less revocations";

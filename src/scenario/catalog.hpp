@@ -1,18 +1,20 @@
-// Named Monte-Carlo campaigns: the paper's measurement studies
-// re-expressed as exp::CampaignSpec grids over the scenario layer.
+// Named Monte-Carlo campaigns: the paper's measurement studies expressed
+// as scenario sweeps over the one grid engine (exp::run_grid).
 //
-// Each entry pairs a declarative factor grid with the replica function
-// that realizes one independent sample of the study — the Figure 8 /
-// Table V lifetime census, the launch-placement sweep behind the
-// Section V-C ablation, and the cluster training-speed sweeps of
-// Tables I/III. The simulation-backed replicas (speed, resilience) are
-// thin wrappers now: a cell -> ScenarioSpec transform plus SimHarness,
-// forking the same stream labels the hand-wired versions always did, so
-// the campaign CSVs are byte-identical to the pre-scenario-layer output
-// (tests/scenario_harness_test.cpp and tests/resilience_campaign_test.cpp
-// pin this). The `cmdare_campaign` CLI example runs catalog entries by
-// name; bench_fig8 and bench_ablation_launch build their statistics on
-// the same replica functions through the parallel engine.
+// Each entry pairs a ScenarioSweep with the replica function that
+// realizes one independent sample of the study. The paper's grids — the
+// Figure 8 / Table V lifetime census, the launch-placement sweep behind
+// the Section V-C ablation, the cluster training-speed sweeps of Tables
+// I/III and the fault-injection degradation curves — share six axes,
+// region x gpu x model x cluster_size x launch_hour x fault_rate. `model`
+// and `fault_rate` are spec keys; the other four are sweep factors the
+// replica reads from the cell to build its worker group or pick its
+// hazard cell. Their cell order, replica streams and CSV columns are the
+// ones these studies have always had (tests/scenario_harness_test.cpp
+// pins them). The later studies (detection, fleet, storm, ckpt) sweep
+// spec keys only. `scenario_runner <name>` runs any entry; bench_fig8 and
+// bench_ablation_launch build their statistics on the same replica
+// functions.
 #pragma once
 
 #include <string>
@@ -24,17 +26,8 @@
 
 namespace cmdare::scenario {
 
-struct NamedCampaign {
-  std::string name;
-  std::string description;
-  exp::CampaignSpec spec;
-  exp::ReplicaFn replica;
-};
-
-/// A catalog entry over the generic sweep engine: a base ScenarioSpec
-/// plus set_field axes instead of an exp::CampaignSpec factor grid. The
-/// supervision studies live here because their factors (heartbeat
-/// timeout, abrupt-kill rate) are spec keys, not grid factors.
+/// A catalog entry: a sweep (base spec, axes, factors, replicas, seed)
+/// plus the replica function that samples one cell.
 struct NamedScenarioSweep {
   std::string name;
   std::string description;
@@ -42,54 +35,46 @@ struct NamedScenarioSweep {
   ScenarioReplicaFn replica;  // empty = harness_replica
 };
 
-/// The campaign catalog. Specs carry sensible defaults (replica counts,
-/// params); callers may override seed/replicas/jobs before running.
-const std::vector<NamedCampaign>& named_campaigns();
-
-/// Catalog lookup; throws std::invalid_argument for unknown names.
-const NamedCampaign& campaign_by_name(const std::string& name);
-
-/// The scenario-sweep catalog (run via run_scenario_campaign).
+/// The campaign catalog (run via run_scenario_campaign). Sweeps carry
+/// their default replica counts and seeds; callers may override them.
 const std::vector<NamedScenarioSweep>& named_sweeps();
 
 /// Sweep lookup; throws std::invalid_argument for unknown names.
 const NamedScenarioSweep& sweep_by_name(const std::string& name);
 
-/// Cell -> ScenarioSpec transforms behind the simulation-backed
-/// campaigns, exposed so callers can lift a single cell into a .scn file
-/// or a SimHarness of their own.
-ScenarioSpec speed_scenario(const exp::CampaignSpec& spec,
-                            const exp::CellSpec& cell);
-ScenarioSpec resilience_scenario(const exp::CampaignSpec& spec,
-                                 const exp::CellSpec& cell);
-
-/// Replica functions, exposed so benches can pair them with custom grids.
+/// Replica functions, exposed so benches and tests can pair them with
+/// custom grids. The first four read the region, gpu, cluster_size and
+/// launch_hour factors from the cell's settings.
 ///
-/// `lifetime`: samples `params["samples_per_replica"]` (default 50)
-/// transient-server lifetimes for the cell's (region, GPU, launch hour);
-/// observations: "lifetime_h" (24 h-capped) and "revoked" (0/1). Cells
-/// whose (region, GPU) pair the paper did not measure report nothing.
-exp::ReplicaResult lifetime_replica(exp::ReplicaContext& context);
+/// `lifetime`: samples `samples_per_replica` transient-server lifetimes
+/// for the cell's (region, GPU, launch hour); observations: "lifetime_h"
+/// (24 h-capped) and "revoked" (0/1). Cells whose (region, GPU) pair the
+/// paper did not measure report nothing.
+ScenarioReplicaFn lifetime_replica(int samples_per_replica);
 
-/// `launch`: samples revocation outcomes for a job of
-/// `params["duration_hours"]` (default 8) launched at the cell's local
-/// hour; observation: "revoked_in_job" (0/1) per sample.
-exp::ReplicaResult launch_replica(exp::ReplicaContext& context);
+/// `launch`: samples `samples_per_replica` revocation outcomes for a job
+/// of `duration_hours` launched at the cell's local hour; observation:
+/// "revoked_in_job" (0/1) per sample.
+ScenarioReplicaFn launch_replica(double duration_hours,
+                                 int samples_per_replica);
 
-/// `speed`: runs one training session (cell.cluster_size workers of
-/// cell.gpu on cell.model, one PS) for `params["steps"]` (default 800)
-/// steps; observations: "steps_per_s" and "step_ms" (per-worker mean).
-exp::ReplicaResult speed_replica(exp::ReplicaContext& context);
+/// `speed`: runs one training session (cluster_size workers of the
+/// cell's GPU on the cell's model, one PS) for the spec's max_steps;
+/// observations: "steps_per_s" and "step_ms" (per-worker mean).
+exp::ReplicaResult speed_replica(const ScenarioCell& cell, int replica,
+                                 util::Rng& rng, obs::Telemetry* telemetry);
 
 /// `resilience`: runs one full TransientTrainingRun (auto-replacement,
-/// checkpoints to an ObjectStore) against a cloud with a
-/// FaultPlan::uniform(cell.fault_rate) injector plus one capacity
-/// stockout window, bounded by `params["horizon_hours"]` (default 48).
+/// checkpoints to an ObjectStore) against a cloud with the cell's uniform
+/// fault rate plus, when that rate is > 0, one capacity stockout window
+/// for the cell's (region, GPU), bounded by the spec's horizon_hours.
 /// Observations: "completed" (0/1), "makespan_s" (finished runs only),
 /// "cost_usd", "launch_retries", "fallbacks", "slots_abandoned",
 /// "revocations", "abrupt_kills", "checkpoints", "faults_injected" —
 /// the raw material of the degradation curves in EXPERIMENTS.md.
-exp::ReplicaResult resilience_replica(exp::ReplicaContext& context);
+exp::ReplicaResult resilience_replica(const ScenarioCell& cell, int replica,
+                                      util::Rng& rng,
+                                      obs::Telemetry* telemetry);
 
 /// `detection`: one supervised TransientTrainingRun per replica on the
 /// short-lived europe-west1 K80 pool with every fault notice-less at

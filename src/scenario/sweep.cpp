@@ -1,5 +1,6 @@
 #include "scenario/sweep.hpp"
 
+#include <algorithm>
 #include <ostream>
 #include <stdexcept>
 
@@ -25,6 +26,15 @@ std::string ScenarioCell::label() const {
   return out;
 }
 
+const std::string& ScenarioCell::setting(std::string_view key) const {
+  for (const auto& [name, value] : settings) {
+    if (name == key) return value;
+  }
+  throw std::invalid_argument("ScenarioCell::setting: cell " +
+                              std::to_string(index) + " has no axis \"" +
+                              std::string(key) + "\"");
+}
+
 std::vector<ScenarioCell> expand(const ScenarioSweep& sweep) {
   std::size_t count = 1;
   for (const SweepAxis& axis : sweep.axes) {
@@ -48,9 +58,16 @@ std::vector<ScenarioCell> expand(const ScenarioSweep& sweep) {
       stride /= axis.values.size();
       const std::string& value = axis.values[remainder / stride];
       remainder %= stride;
-      if (auto error = set_field(cell.spec, axis.key, value)) {
-        throw std::invalid_argument("scenario::expand: " + axis.key + " = " +
-                                    value + ": " + *error);
+      // A factor is the replica's to read from the settings; everything
+      // else must be a spec key.
+      const bool factor =
+          std::find(sweep.factors.begin(), sweep.factors.end(), axis.key) !=
+          sweep.factors.end();
+      if (!factor) {
+        if (auto error = set_field(cell.spec, axis.key, value)) {
+          throw std::invalid_argument("scenario::expand: " + axis.key +
+                                      " = " + value + ": " + *error);
+        }
       }
       cell.settings.emplace_back(axis.key, value);
     }

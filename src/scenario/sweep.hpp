@@ -6,7 +6,11 @@
 // checkpoint_interval_steps, ft_mode, workers, ps_count, ... expand()
 // takes the cartesian product (first axis slowest) and materializes one
 // ScenarioCell per combination by applying set_field() to a copy of the
-// base spec.
+// base spec. An axis named in `factors` is not a spec key: expand() only
+// records its value in the cell's settings, and the replica function
+// reads it from there (the paper's region x GPU x cluster-size x
+// launch-hour grids, whose values build worker groups or pick a hazard
+// cell rather than set one field).
 //
 // run_scenario_campaign() executes the grid on exp::run_grid, which
 // supplies the determinism guarantees: replica (c, r) draws from
@@ -22,12 +26,14 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "exp/campaign.hpp"
 #include "scenario/harness.hpp"
 #include "scenario/spec.hpp"
+#include "util/table.hpp"
 
 namespace cmdare::scenario {
 
@@ -44,6 +50,9 @@ struct ScenarioSweep {
   std::vector<SweepAxis> axes;
   int replicas = 1;
   std::uint64_t seed = 1;
+  /// Axis keys the replica reads from ScenarioCell::settings instead of
+  /// expand() applying them through set_field().
+  std::vector<std::string> factors;
 };
 
 /// One grid cell: the fully materialized spec plus the axis settings
@@ -55,11 +64,14 @@ struct ScenarioCell {
 
   /// "key=value key=value" (or the spec name when there are no axes).
   std::string label() const;
+  /// The value axis `key` took in this cell; throws std::invalid_argument
+  /// when no axis has that key.
+  const std::string& setting(std::string_view key) const;
 };
 
 /// Cartesian product of the axes over the base spec; a sweep with no
 /// axes yields the base spec as a single cell. Throws
-/// std::invalid_argument when an axis key/value is rejected by
+/// std::invalid_argument when a non-factor axis key/value is rejected by
 /// set_field() or the resulting spec fails validate().
 std::vector<ScenarioCell> expand(const ScenarioSweep& sweep);
 
@@ -91,7 +103,11 @@ struct ScenarioCampaignResult {
   util::Table summary_table() const;
 };
 
-/// Runs the sweep. `replica` defaults to harness_replica.
+/// Runs the sweep. `replica` defaults to harness_replica. Also records
+/// summary counters (scenario.campaign.replicas_total / .replicas_failed
+/// / .cells_total, labelled with the sweep name) into the *caller
+/// thread's* obs registry, when one is installed, after the run
+/// completes — worker threads never touch the caller's bundle.
 ScenarioCampaignResult run_scenario_campaign(
     const ScenarioSweep& sweep, const exp::RunOptions& options = {},
     const ScenarioReplicaFn& replica = {});

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "scenario/catalog.hpp"
@@ -10,32 +11,39 @@
 namespace cmdare::scenario {
 namespace {
 
-exp::CampaignSpec shrunk_spec() {
-  // The catalog spec with a test-sized budget: 2 fault rates x 2
+SweepAxis& fault_rate_axis(ScenarioSweep& sweep) {
+  for (SweepAxis& axis : sweep.axes) {
+    if (axis.key == "fault_rate") return axis;
+  }
+  throw std::invalid_argument("resilience sweep has no fault_rate axis");
+}
+
+ScenarioSweep shrunk_sweep() {
+  // The catalog sweep with a test-sized budget: 2 fault rates x 2
   // replicas, short runs.
-  exp::CampaignSpec spec = campaign_by_name("resilience").spec;
-  spec.replicas = 2;
-  spec.fault_rates = {0.0, 0.2};
-  spec.params["steps"] = 200.0;
-  spec.params["checkpoint_interval_steps"] = 50.0;
-  return spec;
+  ScenarioSweep sweep = sweep_by_name("resilience").sweep;
+  sweep.replicas = 2;
+  fault_rate_axis(sweep).values = {"0.00", "0.20"};
+  sweep.base.max_steps = 200;
+  sweep.base.checkpoint_interval_steps = 50;
+  return sweep;
 }
 
 TEST(ResilienceCampaign, InCatalogWithFaultRateGrid) {
-  const NamedCampaign& campaign = campaign_by_name("resilience");
-  EXPECT_EQ(campaign.spec.fault_rates.size(), 4u);
-  EXPECT_EQ(exp::cell_count(campaign.spec), 4u);
-  const auto cells = exp::expand(campaign.spec);
-  EXPECT_DOUBLE_EQ(cells.front().fault_rate, 0.0);
-  EXPECT_DOUBLE_EQ(cells.back().fault_rate, 0.2);
-  // Fault-free cells keep the historical label; faulty ones are marked.
-  EXPECT_EQ(cells.front().label(), "us-central1/K80/resnet-15/w2/h9");
-  EXPECT_EQ(cells.back().label(), "us-central1/K80/resnet-15/w2/h9/f0.20");
+  ScenarioSweep sweep = sweep_by_name("resilience").sweep;
+  EXPECT_EQ(fault_rate_axis(sweep).values.size(), 4u);
+  const auto cells = expand(sweep);
+  EXPECT_EQ(cells.size(), 4u);
+  // fault_rate is the innermost axis, swept upwards from fault-free.
+  EXPECT_EQ(cells.front().setting("fault_rate"), "0.00");
+  EXPECT_DOUBLE_EQ(cells.front().spec.faults.launch_error_rate, 0.0);
+  EXPECT_EQ(cells.back().setting("fault_rate"), "0.20");
+  EXPECT_DOUBLE_EQ(cells.back().spec.faults.launch_error_rate, 0.2);
 }
 
 TEST(ResilienceCampaign, CsvByteIdenticalAcrossJobCounts) {
-  const exp::CampaignSpec spec = shrunk_spec();
-  const exp::ReplicaFn replica = campaign_by_name("resilience").replica;
+  const ScenarioSweep sweep = shrunk_sweep();
+  const ScenarioReplicaFn& replica = sweep_by_name("resilience").replica;
 
   exp::RunOptions serial;
   serial.jobs = 1;
@@ -43,9 +51,9 @@ TEST(ResilienceCampaign, CsvByteIdenticalAcrossJobCounts) {
   parallel.jobs = 4;
 
   std::ostringstream csv_serial;
-  exp::run_campaign(spec, replica, serial).write_csv(csv_serial);
+  run_scenario_campaign(sweep, serial, replica).write_csv(csv_serial);
   std::ostringstream csv_parallel;
-  exp::run_campaign(spec, replica, parallel).write_csv(csv_parallel);
+  run_scenario_campaign(sweep, parallel, replica).write_csv(csv_parallel);
 
   EXPECT_FALSE(csv_serial.str().empty());
   EXPECT_EQ(csv_serial.str(), csv_parallel.str());
@@ -53,14 +61,14 @@ TEST(ResilienceCampaign, CsvByteIdenticalAcrossJobCounts) {
 }
 
 TEST(ResilienceCampaign, FaultyCellsDegradeGracefully) {
-  const exp::CampaignSpec spec = shrunk_spec();
-  const exp::ReplicaFn replica = campaign_by_name("resilience").replica;
+  const ScenarioSweep sweep = shrunk_sweep();
   exp::RunOptions options;
   options.jobs = 2;
-  const exp::CampaignResult result = exp::run_campaign(spec, replica, options);
+  const ScenarioCampaignResult result = run_scenario_campaign(
+      sweep, options, sweep_by_name("resilience").replica);
 
   ASSERT_EQ(result.cells.size(), 2u);
-  EXPECT_EQ(result.total_failures(), 0u);  // no replica threw
+  EXPECT_EQ(result.progress.replicas_failed, 0u);  // no replica threw
 
   const exp::CellAggregate& clean = result.aggregates[0];
   const exp::CellAggregate& faulty = result.aggregates[1];

@@ -2,15 +2,18 @@
 // hand-wired pre-refactor experiments bit-for-bit. The constants and CSV
 // bodies below were captured from the repo BEFORE the scenario layer
 // existed (examples/resilience.cpp at seed 2020; shrunk "resilience" and
-// "speed" campaigns through the original cmdare::core replicas), so any
-// drift in RNG fork labels, construction order, or observation order
-// fails these tests.
+// "speed" campaigns through the original cmdare::core replicas) or, for
+// "lifetime" and "launch", before those studies became scenario sweeps,
+// so any drift in RNG fork labels, construction order, cell order, or
+// observation order fails these tests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/ledger.hpp"
 #include "scenario/catalog.hpp"
@@ -239,35 +242,100 @@ constexpr const char* kSpeedGoldenCsv =
     "speed,1,us-central1,K80,resnet-15,4,9,0.00,step_ms,2,0,1,109.369569,0.000000,0.000000,109.369569,109.369569,109.369569,109.369569,109.369569\n"
     "speed,1,us-central1,K80,resnet-15,4,9,0.00,steps_per_s,2,0,2,29.501167,0.062684,0.002125,29.456843,29.465708,29.501167,29.536627,29.545492\n";
 
-std::string campaign_csv(const exp::CampaignSpec& spec,
-                         const exp::ReplicaFn& replica, int jobs) {
+// Captured through the fixed-axis campaign engine before the lifetime and
+// launch studies became scenario sweeps: 2 replicas over a region x GPU
+// (x launch hour) subgrid that includes pairs the paper did not measure,
+// 4 lifetimes / 8 job outcomes per replica.
+constexpr const char* kLifetimeGoldenCsv =
+    "campaign,cell,region,gpu,model,cluster_size,launch_hour,fault_rate,"
+    "metric,replicas_ok,replicas_failed,count,mean,sd,cov,min,p10,p50,p90,"
+    "max\n"
+    "lifetime,0,us-central1,K80,resnet-15,1,9,0.00,lifetime_h,2,0,8,20.101620,8.229068,0.409373,1.014386,11.363319,24.000000,24.000000,24.000000\n"
+    "lifetime,0,us-central1,K80,resnet-15,1,9,0.00,revoked,2,0,8,0.250000,0.462910,1.851640,0.000000,0.000000,0.000000,1.000000,1.000000\n"
+    "lifetime,1,us-central1,V100,resnet-15,1,9,0.00,lifetime_h,2,0,8,6.597375,10.764610,1.631651,0.010167,0.145849,1.021795,24.000000,24.000000\n"
+    "lifetime,1,us-central1,V100,resnet-15,1,9,0.00,revoked,2,0,8,0.750000,0.462910,0.617213,0.000000,0.000000,1.000000,1.000000,1.000000\n"
+    "lifetime,2,europe-west1,K80,resnet-15,1,9,0.00,lifetime_h,2,0,8,12.413582,12.406114,0.999398,0.110627,0.120363,13.187735,24.000000,24.000000\n"
+    "lifetime,2,europe-west1,K80,resnet-15,1,9,0.00,revoked,2,0,8,0.500000,0.534522,1.069045,0.000000,0.000000,0.500000,1.000000,1.000000\n"
+    "lifetime,3,europe-west1,V100,resnet-15,1,9,0.00,(none),2,0,0,0,0,0,0,0,0,0,0\n"
+    "lifetime,4,asia-east1,K80,resnet-15,1,9,0.00,(none),2,0,0,0,0,0,0,0,0,0,0\n"
+    "lifetime,5,asia-east1,V100,resnet-15,1,9,0.00,lifetime_h,2,0,8,17.374052,9.957099,0.573102,0.459313,2.890049,24.000000,24.000000,24.000000\n"
+    "lifetime,5,asia-east1,V100,resnet-15,1,9,0.00,revoked,2,0,8,0.375000,0.517549,1.380131,0.000000,0.000000,0.000000,1.000000,1.000000\n";
+
+constexpr const char* kLaunchGoldenCsv =
+    "campaign,cell,region,gpu,model,cluster_size,launch_hour,fault_rate,"
+    "metric,replicas_ok,replicas_failed,count,mean,sd,cov,min,p10,p50,p90,"
+    "max\n"
+    "launch,0,us-west1,K80,resnet-15,1,0,0.00,revoked_in_job,2,0,16,0.062500,0.250000,4.000000,0.000000,0.000000,0.000000,0.000000,1.000000\n"
+    "launch,1,us-west1,K80,resnet-15,1,12,0.00,revoked_in_job,2,0,16,0.062500,0.250000,4.000000,0.000000,0.000000,0.000000,0.000000,1.000000\n"
+    "launch,2,us-west1,V100,resnet-15,1,0,0.00,revoked_in_job,2,0,16,0.312500,0.478714,1.531883,0.000000,0.000000,0.000000,1.000000,1.000000\n"
+    "launch,3,us-west1,V100,resnet-15,1,12,0.00,revoked_in_job,2,0,16,0.312500,0.478714,1.531883,0.000000,0.000000,0.000000,1.000000,1.000000\n"
+    "launch,4,europe-west1,K80,resnet-15,1,0,0.00,revoked_in_job,2,0,16,0.312500,0.478714,1.531883,0.000000,0.000000,0.000000,1.000000,1.000000\n"
+    "launch,5,europe-west1,K80,resnet-15,1,12,0.00,revoked_in_job,2,0,16,0.500000,0.516398,1.032796,0.000000,0.000000,0.500000,1.000000,1.000000\n"
+    "launch,6,europe-west1,V100,resnet-15,1,0,0.00,(none),2,0,0,0,0,0,0,0,0,0,0\n"
+    "launch,7,europe-west1,V100,resnet-15,1,12,0.00,(none),2,0,0,0,0,0,0,0,0,0,0\n";
+
+/// Narrows the catalog sweep's `key` axis to `values`.
+void narrow(ScenarioSweep& sweep, const std::string& key,
+            std::vector<std::string> values) {
+  for (SweepAxis& axis : sweep.axes) {
+    if (axis.key == key) {
+      axis.values = std::move(values);
+      return;
+    }
+  }
+  ADD_FAILURE() << "sweep " << sweep.name << " has no axis " << key;
+}
+
+std::string campaign_csv(const ScenarioSweep& sweep,
+                         const ScenarioReplicaFn& replica, int jobs) {
   exp::RunOptions options;
   options.jobs = jobs;
   std::ostringstream out;
-  exp::run_campaign(spec, replica, options).write_csv(out);
+  run_scenario_campaign(sweep, options, replica).write_csv(out);
   return out.str();
 }
 
 TEST(ScenarioCatalog, ResilienceCampaignMatchesPreRefactorCsvAtAnyJobs) {
-  exp::CampaignSpec spec = campaign_by_name("resilience").spec;
-  spec.replicas = 2;
-  spec.fault_rates = {0.0, 0.2};
-  spec.params["steps"] = 200.0;
-  spec.params["checkpoint_interval_steps"] = 50.0;
-  const exp::ReplicaFn replica = campaign_by_name("resilience").replica;
-  EXPECT_EQ(campaign_csv(spec, replica, 1), kResilienceGoldenCsv);
-  EXPECT_EQ(campaign_csv(spec, replica, 4), kResilienceGoldenCsv);
+  const NamedScenarioSweep& named = sweep_by_name("resilience");
+  ScenarioSweep sweep = named.sweep;
+  sweep.replicas = 2;
+  narrow(sweep, "fault_rate", {"0.00", "0.20"});
+  sweep.base.max_steps = 200;
+  sweep.base.checkpoint_interval_steps = 50;
+  EXPECT_EQ(campaign_csv(sweep, named.replica, 1), kResilienceGoldenCsv);
+  EXPECT_EQ(campaign_csv(sweep, named.replica, 4), kResilienceGoldenCsv);
 }
 
 TEST(ScenarioCatalog, SpeedCampaignMatchesPreRefactorCsvAtAnyJobs) {
-  exp::CampaignSpec spec = campaign_by_name("speed").spec;
-  spec.replicas = 2;
-  spec.gpus = {cloud::GpuType::kK80};
-  spec.models = {"resnet-15"};
-  spec.params["steps"] = 300.0;
-  const exp::ReplicaFn replica = campaign_by_name("speed").replica;
-  EXPECT_EQ(campaign_csv(spec, replica, 1), kSpeedGoldenCsv);
-  EXPECT_EQ(campaign_csv(spec, replica, 4), kSpeedGoldenCsv);
+  const NamedScenarioSweep& named = sweep_by_name("speed");
+  ScenarioSweep sweep = named.sweep;
+  sweep.replicas = 2;
+  narrow(sweep, "gpu", {"K80"});
+  narrow(sweep, "model", {"resnet-15"});
+  sweep.base.max_steps = 300;
+  EXPECT_EQ(campaign_csv(sweep, named.replica, 1), kSpeedGoldenCsv);
+  EXPECT_EQ(campaign_csv(sweep, named.replica, 4), kSpeedGoldenCsv);
+}
+
+TEST(ScenarioCatalog, LifetimeCampaignMatchesPreSweepCsvAtAnyJobs) {
+  ScenarioSweep sweep = sweep_by_name("lifetime").sweep;
+  sweep.replicas = 2;
+  narrow(sweep, "region", {"us-central1", "europe-west1", "asia-east1"});
+  narrow(sweep, "gpu", {"K80", "V100"});
+  const ScenarioReplicaFn replica = lifetime_replica(4);
+  EXPECT_EQ(campaign_csv(sweep, replica, 1), kLifetimeGoldenCsv);
+  EXPECT_EQ(campaign_csv(sweep, replica, 4), kLifetimeGoldenCsv);
+}
+
+TEST(ScenarioCatalog, LaunchCampaignMatchesPreSweepCsvAtAnyJobs) {
+  ScenarioSweep sweep = sweep_by_name("launch").sweep;
+  sweep.replicas = 2;
+  narrow(sweep, "region", {"us-west1", "europe-west1"});
+  narrow(sweep, "gpu", {"K80", "V100"});
+  narrow(sweep, "launch_hour", {"0", "12"});
+  const ScenarioReplicaFn replica = launch_replica(8.0, 8);
+  EXPECT_EQ(campaign_csv(sweep, replica, 1), kLaunchGoldenCsv);
+  EXPECT_EQ(campaign_csv(sweep, replica, 4), kLaunchGoldenCsv);
 }
 
 TEST(ScenarioCampaign, SweepCsvByteIdenticalAcrossJobCounts) {
@@ -316,6 +384,36 @@ TEST(ScenarioCampaign, DefaultReplicaReportsStandardMetrics) {
     EXPECT_TRUE(agg.metrics.count(metric)) << metric;
   }
   EXPECT_DOUBLE_EQ(agg.metrics.at("finished").running.mean(), 1.0);
+}
+
+TEST(ScenarioCampaign, RecordsSummaryMetricsIntoCallersRegistry) {
+  obs::ScopedTelemetry telemetry;
+  ScenarioSweep sweep;
+  sweep.name = "summary";
+  sweep.base.kind = HarnessKind::kCloud;
+  sweep.axes = {{"max_steps", {"1", "2"}}, {"seed", {"1", "2"}}};
+  sweep.replicas = 2;
+  const ScenarioReplicaFn replica = [](const ScenarioCell& cell, int r,
+                                       util::Rng&, obs::Telemetry*) {
+    if (cell.index == 3 && r == 1) throw std::runtime_error("boom");
+    return exp::ReplicaResult{};
+  };
+  exp::RunOptions options;
+  options.jobs = 2;
+  (void)run_scenario_campaign(sweep, options, replica);
+  const obs::LabelSet labels = {{"campaign", "summary"}};
+  EXPECT_DOUBLE_EQ(
+      telemetry->registry.counter("scenario.campaign.replicas_total", labels)
+          .value(),
+      8.0);
+  EXPECT_DOUBLE_EQ(
+      telemetry->registry.counter("scenario.campaign.replicas_failed", labels)
+          .value(),
+      1.0);
+  EXPECT_DOUBLE_EQ(
+      telemetry->registry.counter("scenario.campaign.cells_total", labels)
+          .value(),
+      4.0);
 }
 
 

@@ -777,5 +777,30 @@ TEST(ScenarioSweep, ExpandRejectsBadAxisValues) {
   EXPECT_THROW(expand(sweep), std::invalid_argument);
 }
 
+TEST(ScenarioSweep, FactorAxesLandInSettingsWithoutTouchingTheSpec) {
+  ScenarioSweep sweep;
+  sweep.base = minimal_valid();
+  sweep.axes = {{"gpu", {"K80", "V100"}}, {"max_steps", {"10", "20"}}};
+  // Without the declaration "gpu" is just an unknown spec key.
+  EXPECT_THROW(expand(sweep), std::invalid_argument);
+
+  sweep.factors = {"gpu"};
+  const auto cells = expand(sweep);
+  ASSERT_EQ(cells.size(), 4u);
+  EXPECT_EQ(cells[0].setting("gpu"), "K80");
+  EXPECT_EQ(cells[2].setting("gpu"), "V100");
+  EXPECT_EQ(cells[3].setting("max_steps"), "20");
+  EXPECT_EQ(cells[3].spec.max_steps, 20);
+  EXPECT_EQ(cells[3].label(), "gpu=V100 max_steps=20");
+  // A factor never reaches set_field: cells differing only in it share
+  // one spec.
+  EXPECT_EQ(serialize(cells[0].spec), serialize(cells[2].spec));
+  EXPECT_THROW(cells[0].setting("region"), std::invalid_argument);
+
+  // Declaring a factor does not excuse other unknown keys.
+  sweep.axes.push_back({"no_such_key", {"1"}});
+  EXPECT_THROW(expand(sweep), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace cmdare::scenario
